@@ -22,12 +22,26 @@ Endpoints
 
 Every query response carries the ``generation`` it was answered from —
 that tag is what the concurrency harness's snapshot checker keys on.
-Admission rejections map to HTTP 503, malformed requests to 400.
+Admission rejections map to HTTP 503, malformed requests to 400, and any
+other failure inside a route to 500.
+
+Reply path
+----------
+Connections are keep-alive (HTTP/1.1).  Each JSON reply — status line,
+headers and body — leaves in a single socket write with ``TCP_NODELAY``
+set, so no reply waits on the client's delayed ACK.  The declared request
+body is always read before routing, whatever the route, so the next
+request on the connection starts at the right byte; when the framing
+itself is broken (bad ``Content-Length``, chunked body, truncated body)
+the reply carries ``Connection: close``.  Every read and write on a
+connection is bounded by :data:`CONNECTION_TIMEOUT_S`, so a stalled
+client releases its handler thread.
 """
 
 from __future__ import annotations
 
 import json
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Tuple
 
@@ -39,6 +53,10 @@ from repro.server.service import CubetreeServer, ServedResult
 
 #: Request bodies past this size are rejected outright (64 MiB).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Socket timeout for every read and write on a connection, in seconds.
+#: It also bounds how long an idle keep-alive connection is held open.
+CONNECTION_TIMEOUT_S = 30.0
 
 
 class BadRequest(ReproError):
@@ -95,6 +113,11 @@ class _Handler(BaseHTTPRequestHandler):
     """Dispatches the JSON API; the server object rides on the HTTP server."""
 
     protocol_version = "HTTP/1.1"
+    #: Replies go out in one write; don't let the kernel hold them back.
+    disable_nagle_algorithm = True
+    #: The current request's raw body, consumed before routing.
+    _body = b""
+
     #: Quieten the default stderr access log (tests and benches hammer it).
     def log_message(self, format: str, *args: object) -> None:  # noqa: A002
         pass
@@ -106,23 +129,53 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # plumbing
     # ------------------------------------------------------------------
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        data = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def setup(self) -> None:
+        # Read at connect time so the module constant stays patchable.
+        self.timeout = CONNECTION_TIMEOUT_S
+        super().setup()
 
-    def _read_body(self) -> Dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length <= 0:
-            return {}
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        """Send status line, headers and body in one socket write."""
+        data = json.dumps(payload).encode("utf-8")
+        head = (
+            f"{self.protocol_version} {status} {HTTPStatus(status).phrase}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.date_time_string()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n"
+        )
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + data)
+
+    def _read_body(self) -> bytes:
+        """Consume exactly the declared request body.
+
+        Raises :class:`BadRequest` when the framing can't be trusted; the
+        caller must then close the connection.
+        """
+        if "Transfer-Encoding" in self.headers:
+            raise BadRequest("Transfer-Encoding is not supported")
+        declared = set(self.headers.get_all("Content-Length") or ())
+        if not declared:
+            return b""
+        text = declared.pop().strip()
+        if declared or not (text.isascii() and text.isdigit()):
+            raise BadRequest("malformed Content-Length header")
+        length = int(text)
         if length > MAX_BODY_BYTES:
             raise BadRequest(f"request body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
+        if len(raw) < length:
+            raise BadRequest("request body ended early")
+        return raw
+
+    def _json_body(self) -> Dict[str, Any]:
+        """The request body as a JSON object (``{}`` when empty)."""
+        if not self._body:
+            return {}
         try:
-            body = json.loads(raw.decode("utf-8"))
+            body = json.loads(self._body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise BadRequest(f"request body is not JSON: {exc}") from exc
         if not isinstance(body, dict):
@@ -130,6 +183,12 @@ class _Handler(BaseHTTPRequestHandler):
         return body
 
     def _dispatch(self, routes: Dict[str, Any]) -> None:
+        try:
+            self._body = self._read_body()
+        except BadRequest as exc:
+            self.close_connection = True
+            self._send_json(400, {"error": str(exc)})
+            return
         handler = routes.get(self.path.rstrip("/") or "/")
         if handler is None:
             self._send_json(404, {"error": f"no route {self.path!r}"})
@@ -140,8 +199,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(400, {"error": str(exc)})
         except AdmissionError as exc:
             self._send_json(503, {"error": str(exc)})
-        except ReproError as exc:
-            self._send_json(500, {"error": str(exc)})
+        except Exception as exc:  # noqa: BLE001 - every failure gets a reply
+            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
         else:
             self._send_json(status, payload)
 
@@ -180,13 +239,13 @@ class _Handler(BaseHTTPRequestHandler):
         return 200, {"generations": self.cubetree.manager.describe()}
 
     def _route_query(self) -> Tuple[int, Dict[str, Any]]:
-        body = self._read_body()
+        body = self._json_body()
         query = parse_query_body(body, self.cubetree)
         served = self.cubetree.query(query)
         return 200, _result_payload(served)
 
     def _route_query_batch(self) -> Tuple[int, Dict[str, Any]]:
-        body = self._read_body()
+        body = self._json_body()
         raw_queries = body.get("queries")
         if not isinstance(raw_queries, list):
             raise BadRequest('"queries" must be a JSON array')
@@ -201,7 +260,7 @@ class _Handler(BaseHTTPRequestHandler):
         }
 
     def _route_delta(self) -> Tuple[int, Dict[str, Any]]:
-        body = self._read_body()
+        body = self._json_body()
         raw_rows = body.get("rows")
         if not isinstance(raw_rows, list):
             raise BadRequest('"rows" must be a JSON array of arrays')
@@ -253,6 +312,7 @@ def make_http_server(
 __all__ = [
     "BadRequest",
     "CubetreeHTTPServer",
+    "CONNECTION_TIMEOUT_S",
     "MAX_BODY_BYTES",
     "make_http_server",
     "parse_query_body",

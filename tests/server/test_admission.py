@@ -77,6 +77,27 @@ class TestExecution:
         assert server.admission.submit(pinned, query, timeout=30.0).rows
 
 
+class ParkedHandle:
+    """A generation handle whose query parks the executor thread.
+
+    ``entered`` fires once the executor is inside the query; until
+    ``release`` is set it can drain nothing else, so the queue's
+    contents stay exactly what the test put there.
+    """
+
+    def __init__(self, pinned, query):
+        self.number = pinned.number
+        self.engine = self
+        self._answer = lambda: pinned.engine.query(query)
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def query(self, _query):
+        self.entered.set()
+        self.release.wait(30.0)
+        return self._answer()
+
+
 class TestBounds:
     def test_rejects_past_max_depth(self, server, pinned, workload):
         queue = AdmissionQueue(max_depth=2)
@@ -84,18 +105,18 @@ class TestBounds:
         with pytest.raises(AdmissionError, match="not running"):
             queue.submit_nowait(pinned, workload[0])
         queue.start()
+        parked = ParkedHandle(pinned, workload[0])
         try:
-            # Overfill synchronously while holding the executor's lock
-            # so it cannot drain between the stuffing and the assert.
-            from repro.server.admission import _Pending
-
-            with queue._lock:
-                queue._pending.extend(
-                    _Pending(pinned, workload[0]) for _ in range(2)
-                )
+            queue.submit_nowait(parked, workload[0])
+            assert parked.entered.wait(30.0)
+            # The executor is parked, so these two stay queued.
+            for _ in range(2):
+                queue.submit_nowait(pinned, workload[0])
+            assert queue.depth == 2
             with pytest.raises(AdmissionError, match="full"):
                 queue.submit_nowait(pinned, workload[0])
         finally:
+            parked.release.set()
             queue.close()
 
     def test_max_depth_validation(self):
@@ -105,45 +126,23 @@ class TestBounds:
     def test_close_fails_waiters(self, server, pinned, workload):
         queue = AdmissionQueue(max_depth=8)
         queue.start()
-        release = threading.Event()
-        outcome = {}
-
-        class SlowHandle:
-            number = pinned.number
-
-            class engine:  # noqa: N801 - stub namespace
-                @staticmethod
-                def query(_q):
-                    release.wait(30.0)
-                    return pinned.engine.query(workload[0])
-
-        def waiter():
-            try:
-                queue.submit(SlowHandle(), workload[1], timeout=30.0)
-            except AdmissionError as exc:
-                outcome["error"] = exc
-
-        # First submission occupies the executor; the second sits in the
-        # queue and must be failed by close().
-        blocker = threading.Thread(
-            target=lambda: queue.submit(SlowHandle(), workload[0], 30.0),
-            daemon=True,
-        )
-        blocker.start()
-        import time
-
-        time.sleep(0.05)
-        pending = threading.Thread(target=waiter, daemon=True)
-        pending.start()
-        time.sleep(0.05)
-        # Unblock the in-flight query shortly after close() starts so
-        # its executor join returns promptly.
-        threading.Timer(0.1, release.set).start()
-        queue.close()
-        pending.join(timeout=30.0)
-        blocker.join(timeout=30.0)
-        assert "error" in outcome
-        assert "shutting down" in str(outcome["error"])
+        # The first submission occupies the executor; the second sits in
+        # the queue and must be failed by close().
+        parked = ParkedHandle(pinned, workload[0])
+        in_flight = queue.submit_nowait(parked, workload[0])
+        assert parked.entered.wait(30.0)
+        queued = queue.submit_nowait(pinned, workload[1])
+        closer = threading.Thread(target=queue.close, daemon=True)
+        closer.start()
+        # close() fails the queued ticket before it joins the executor;
+        # only then let the in-flight query finish.
+        assert queued.done.wait(30.0)
+        parked.release.set()
+        closer.join(timeout=30.0)
+        assert not closer.is_alive()
+        with pytest.raises(AdmissionError, match="shutting down"):
+            queue.wait(queued, timeout=0)
+        assert queue.wait(in_flight, timeout=30.0).rows
 
     def test_peak_depth_is_tracked(self, server, pinned, workload):
         queue = server.admission

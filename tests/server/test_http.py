@@ -3,16 +3,23 @@
 Routes, status codes, and — the part that matters — the generation tag:
 an HTTP client must be able to key snapshot checks off ``generation``
 in every query response, exactly like the in-process harness does.
+The keep-alive and hostile-client classes hold one connection open and
+check that every reply arrives in order, in one write, and that broken
+or stalled clients get a reply or a closed socket — never a hung thread.
 """
 
+import http.client
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.server import http as http_module
 from repro.server import make_http_server
+from repro.server.http import CubetreeHTTPServer
 
 
 @pytest.fixture()
@@ -157,3 +164,179 @@ class TestErrors:
             assert "error" in payload
         finally:
             server.admission.start()
+
+
+# ----------------------------------------------------------------------
+# keep-alive connections and hostile clients
+# ----------------------------------------------------------------------
+class _RecordingSocket:
+    """An accepted socket that logs every ``sendall`` the handler makes."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.sends = []
+
+    def sendall(self, data):
+        self.sends.append(bytes(data))
+        return self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class _RecordingHTTPServer(CubetreeHTTPServer):
+    def __init__(self, cubetree):
+        super().__init__(("127.0.0.1", 0), cubetree)
+        self.accepted = []
+
+    def get_request(self):
+        sock, address = super().get_request()
+        recording = _RecordingSocket(sock)
+        self.accepted.append(recording)
+        return recording, address
+
+
+@pytest.fixture()
+def recorded(server):
+    httpd = _RecordingHTTPServer(server)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield httpd, server
+    httpd.shutdown()
+    httpd.server_close()
+
+
+def _exchange(conn, method, path, body=None):
+    conn.request(
+        method, path, body=body, headers={"Content-Type": "application/json"}
+    )
+    reply = conn.getresponse()
+    return reply.status, reply.getheader("Connection"), reply.read()
+
+
+def _raw_exchange(port, request, half_close=False):
+    """Send raw bytes, then read until the server closes the socket."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(request)
+        if half_close:
+            sock.shutdown(socket.SHUT_WR)
+        received = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return received
+            received += chunk
+
+
+class TestKeepAlive:
+    def test_one_connection_stays_in_sync(self, recorded, workload, database):
+        httpd, server = recorded
+        _directory, generator, _data = database
+        query = json.dumps({"group_by": list(workload[0].group_by)})
+        rows = generator.generate_increment(0.1, stream="keepalive")
+        delta = json.dumps({"rows": [list(r) for r in rows]})
+        sequence = [
+            ("POST", "/query", query, 200),
+            ("POST", "/delta", delta, 202),
+            ("POST", "/refresh", '{"reason": "keep-alive"}', 200),
+            ("POST", "/refresh", None, 200),
+            ("GET", "/health", None, 200),
+            ("POST", "/query", "{not json", 400),
+            ("POST", "/nope", '{"ignored": true}', 404),
+            ("POST", "/query", query, 200),
+        ]
+        host, port = httpd.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        bodies = []
+        try:
+            for method, path, body, expected in sequence:
+                status, connection, data = _exchange(conn, method, path, body)
+                assert status == expected, (path, data)
+                assert connection is None, "server asked to close"
+                bodies.append(data)
+            # One socket carried the whole sequence, with Nagle off on
+            # the server side ...
+            (accepted,) = httpd.accepted
+            assert accepted.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY
+            )
+        finally:
+            conn.close()
+        assert json.loads(bodies[-1])["generation"] > 1
+        # ... and every reply left in exactly one write.
+        assert len(accepted.sends) == len(sequence)
+        for sent, body in zip(accepted.sends, bodies):
+            assert sent.startswith(b"HTTP/1.1 ")
+            assert sent.endswith(b"\r\n\r\n" + body)
+
+    def test_route_crash_is_a_500_and_keeps_the_connection(
+        self, recorded, monkeypatch
+    ):
+        httpd, server = recorded
+
+        def broken():
+            raise RuntimeError("stats exploded")
+
+        monkeypatch.setattr(server, "stats", broken)
+        host, port = httpd.server_address[:2]
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        try:
+            status, _connection, data = _exchange(conn, "GET", "/stats")
+            assert status == 500
+            assert "stats exploded" in json.loads(data)["error"]
+            status, _connection, _data = _exchange(conn, "GET", "/health")
+            assert status == 200
+        finally:
+            conn.close()
+
+
+class TestHostileClients:
+    @pytest.mark.parametrize(
+        "framing",
+        [
+            b"Content-Length: abc\r\n\r\n",
+            b"Content-Length: -5\r\n\r\n",
+            b"Content-Length: 1_0\r\n\r\n",
+            b"Content-Length: +3\r\n\r\n",
+            b"Content-Length: 2\r\nContent-Length: 3\r\n\r\n",
+            b"Content-Length: 99999999999\r\n\r\n",
+            b"Transfer-Encoding: chunked\r\n\r\n0\r\n\r\n",
+            b"Content-Length: 100\r\n\r\n{}",
+        ],
+        ids=[
+            "non-numeric", "negative", "underscore", "signed",
+            "conflicting", "oversized", "chunked", "truncated",
+        ],
+    )
+    def test_untrusted_framing_is_400_and_closes(self, recorded, framing):
+        httpd, _server = recorded
+        reply = _raw_exchange(
+            httpd.server_address[1],
+            b"POST /query HTTP/1.1\r\nHost: t\r\n" + framing,
+            half_close=True,
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert "error" in json.loads(body)
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /query HTTP/1.1\r\nHost: t\r\n",
+            b"POST /query HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Length: 100\r\n\r\n{\"group_by\"",
+        ],
+        ids=["mid-headers", "mid-body"],
+    )
+    def test_stalled_client_is_dropped(
+        self, recorded, monkeypatch, request_bytes
+    ):
+        monkeypatch.setattr(http_module, "CONNECTION_TIMEOUT_S", 0.2)
+        httpd, _server = recorded
+        port = httpd.server_address[1]
+        # The server gives up on the stalled request and closes the
+        # socket without a reply, releasing its handler thread.
+        assert _raw_exchange(port, request_bytes) == b""
+        status, _payload = _call(f"http://127.0.0.1:{port}", "/health")
+        assert status == 200
