@@ -23,7 +23,6 @@ from repro.analysis.fsck import (
     Violation,
     check_cubetree,
     check_engine,
-    check_forest,
     check_tree,
     debug_checks_enabled,
     set_debug_checks,
@@ -50,7 +49,6 @@ __all__ = [
     "Violation",
     "check_cubetree",
     "check_engine",
-    "check_forest",
     "check_tree",
     "debug_checks_enabled",
     "set_debug_checks",

@@ -25,7 +25,7 @@ Checks deserialize nodes from the raw page bytes (via
 :class:`~repro.storage.buffer.BufferPool`), so they exercise the
 *persisted* layout rather than any cached node objects.
 
-:func:`check_tree` / :func:`check_cubetree` / :func:`check_forest`
+:func:`check_tree` / :func:`check_cubetree` / :func:`check_engine`
 return a structured :class:`FsckReport`; :func:`verify_tree` raises
 :class:`~repro.errors.IntegrityError` instead, and is what
 ``rtree.merge`` and ``core.cubetree`` call behind the
@@ -58,8 +58,6 @@ from repro.rtree.tree import EMPTY_EXTENT, RTree
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.core.cubetree import Cubetree
     from repro.core.engine import CubetreeEngine
-    from repro.core.forest import CubetreeForest
-    from repro.core.sharded import ShardedCubetreeEngine
 
 # ----------------------------------------------------------------------
 # violation codes
@@ -210,42 +208,28 @@ def check_cubetree(cubetree: "Cubetree", label: str = "") -> FsckReport:
     return check_tree(cubetree.tree, expected_views=expected, label=label)
 
 
-def check_forest(forest: "CubetreeForest") -> FsckReport:
-    """Verify every Cubetree of a forest; one aggregated report."""
-    report = FsckReport()
-    for i, cubetree in enumerate(forest.cubetrees, start=1):
-        report.merge(check_cubetree(cubetree, label=f"R{i}"))
-    return report
-
-
 def check_engine(engine: "CubetreeEngine") -> FsckReport:
-    """Verify a loaded engine's forest."""
-    if engine.forest is None:
-        raise ReproError("engine has no materialized forest to check")
-    return check_forest(engine.forest)
+    """Verify every shard of a loaded engine, plus residue disjointness.
 
-
-def check_sharded_engine(engine: "ShardedCubetreeEngine") -> FsckReport:
-    """Verify every shard of a sharded engine, plus residue disjointness.
-
-    Each shard's forest gets the full structural fsck (labels like
-    ``shard0/R1``), and on top of it the sharding contract is enforced:
-    a leaf entry of an arity-``k >= 1`` view must live on the shard its
-    leading group coordinate hashes to (``coord % num_shards``), and the
-    apex (arity-0) row may only appear on shard 0.  A misplaced entry
-    would silently vanish from pruned scatter-gather queries, so it is
-    its own violation code (``shard-residue``).
+    Each shard's forest gets the full structural fsck (tree labels
+    ``R1``.. with one shard, ``shard0/R1``.. with several), and on top
+    of it the sharding contract is enforced: a leaf entry of an
+    arity-``k >= 1`` view must live on the shard its leading group
+    coordinate hashes to (``coord % num_shards``), and the apex (arity-0)
+    row may only appear on shard 0.  A misplaced entry would silently
+    vanish from pruned scatter-gather queries, so it is its own
+    violation code (``shard-residue``).  With one shard there is no
+    residue to check.
     """
     report = FsckReport()
     num_shards = len(engine.shards)
     for shard in engine.shards:
         forest = shard.forest
         if forest is None:
-            raise ReproError(
-                f"shard {shard.index} has no materialized forest to check"
-            )
+            raise ReproError("engine has no materialized forest to check")
+        prefix = f"shard{shard.index}/" if num_shards > 1 else ""
         for i, cubetree in enumerate(forest.cubetrees, start=1):
-            label = f"shard{shard.index}/R{i}"
+            label = f"{prefix}R{i}"
             report.merge(check_cubetree(cubetree, label=label))
             _check_shard_residues(
                 cubetree, shard.index, num_shards, label, report
@@ -293,13 +277,6 @@ def _check_shard_residues(
                 break  # one misplaced entry per leaf is enough signal
 
 
-def check_database(engine: object) -> FsckReport:
-    """Verify a loaded engine, sharded or not (layout dispatch)."""
-    if hasattr(engine, "shards"):
-        return check_sharded_engine(engine)  # type: ignore[arg-type]
-    return check_engine(engine)  # type: ignore[arg-type]
-
-
 def check_checkpoint(directory: str) -> FsckReport:
     """Verify a *saved* database: checksums first, then structural fsck.
 
@@ -315,7 +292,7 @@ def check_checkpoint(directory: str) -> FsckReport:
     """
     from repro.core.persistence import (
         PersistenceError,
-        load_any_engine,
+        load_engine,
         verify_checkpoint,
     )
 
@@ -330,13 +307,13 @@ def check_checkpoint(directory: str) -> FsckReport:
     if not checkpoint.ok:
         return report
     try:
-        engine = load_any_engine(directory)
+        engine = load_engine(directory)
     except PersistenceError as exc:
         report.violations.append(
             Violation(CHECKPOINT_CORRUPT, str(exc), tree_label=label)
         )
         return report
-    report.merge(check_database(engine))
+    report.merge(check_engine(engine))
     return report
 
 

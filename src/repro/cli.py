@@ -30,7 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import __version__
 from repro.constants import (
@@ -39,6 +39,9 @@ from repro.constants import (
     ROW_OP_OVERHEAD_MS,
     SEQUENTIAL_IO_MS,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - the CLI imports engines lazily
+    from repro.core.engine import CubetreeEngine
 
 EXPERIMENTS = (
     "table5", "table6", "fig12", "fig13", "fig14", "table7",
@@ -104,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
                      "(cubetree engine only)")
     qry.add_argument("--shards", type=_positive_int, default=1,
                      help="partition the forest into N residue shards "
-                     "and answer scatter-gather (cubetree engine only; "
-                     "default 1 = unsharded)")
+                     "sharing the buffer budget and answer "
+                     "scatter-gather (cubetree engine only; default 1 = "
+                     "one forest)")
 
     chk = sub.add_parser(
         "check",
@@ -120,9 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     chk.add_argument(
         "--shards", type=_positive_int, default=1,
-        help="build the configuration sharded into N residue "
-        "partitions and additionally verify cross-shard residue "
-        "disjointness (default 1 = unsharded)",
+        help="build the configuration on N residue shards sharing "
+        "the buffer budget and additionally verify cross-shard residue "
+        "disjointness (default 1 = one forest)",
     )
     chk.add_argument(
         "--checkpoint", default=None, metavar="DIR",
@@ -282,7 +286,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     from repro.experiments.common import (
         build_conventional_engine,
         build_cubetree_engine,
-        build_sharded_engine,
         ExperimentConfig,
     )
     from repro.sql import parse_query
@@ -301,10 +304,8 @@ def cmd_query(args: argparse.Namespace) -> int:
     config = ExperimentConfig(scale_factor=args.scale, seed=args.seed)
     if args.engine != "cubetree":
         engine, _ = build_conventional_engine(config, data)
-    elif args.shards > 1:
-        engine, _ = build_sharded_engine(config, data, shards=args.shards)
     else:
-        engine, _ = build_cubetree_engine(config, data)
+        engine, _ = build_cubetree_engine(config, data, shards=args.shards)
 
     if args.batch:
         if args.engine != "cubetree":
@@ -340,9 +341,9 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def _print_shard_routing(engine: object, shards: int) -> None:
+def _print_shard_routing(engine: "CubetreeEngine", shards: int) -> None:
     """After a sharded query, show which shards the router targeted."""
-    if shards <= 1 or not hasattr(engine, "shard_stats"):
+    if shards <= 1:
         return
     routed = [s["routed_queries"] for s in engine.shard_stats()]
     touched = [i for i, count in enumerate(routed) if count]
@@ -352,11 +353,10 @@ def _print_shard_routing(engine: object, shards: int) -> None:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """``repro check``: fsck the paper configuration's Cubetree forest."""
-    from repro.analysis.fsck import check_checkpoint, check_database
+    from repro.analysis.fsck import check_checkpoint, check_engine
     from repro.experiments.common import (
         ExperimentConfig,
         build_cubetree_engine,
-        build_sharded_engine,
     )
     from repro.warehouse.tpcd import TPCDGenerator
 
@@ -374,23 +374,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     generator = TPCDGenerator(scale_factor=args.scale, seed=args.seed)
     data = generator.generate()
     config = ExperimentConfig(scale_factor=args.scale, seed=args.seed)
-    if args.shards > 1:
-        engine, _ = build_sharded_engine(config, data, shards=args.shards)
-        print(f"loaded {len(data.facts)} fact rows into "
-              f"{args.shards} shard(s)")
-    else:
-        engine, _ = build_cubetree_engine(config, data)
-        print(f"loaded {len(data.facts)} fact rows into "
-              f"{engine.forest.num_trees if engine.forest else 0} "
-              f"cubetree(s)")
-    report = check_database(engine)
+    engine, _ = build_cubetree_engine(config, data, shards=args.shards)
+    trees = engine.forest.num_trees if engine.forest else 0
+    print(f"loaded {len(data.facts)} fact rows into {trees} cubetree(s)"
+          + (f" on each of {args.shards} shards" if args.shards > 1 else ""))
+    report = check_engine(engine)
     print(report.format())
 
     if args.increment is not None:
         delta = generator.generate_increment(args.increment)
         engine.update(delta)
         print(f"merge-packed {len(delta)} increment rows")
-        refreshed = check_database(engine)
+        refreshed = check_engine(engine)
         print(refreshed.format())
         report.merge(refreshed)
     return 0 if report.ok else 1
@@ -528,7 +523,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"{args.directory} on http://{host}:{port} (Ctrl-C to stop)"
     )
     shard_stats = server.shard_stats()
-    if shard_stats:
+    if shard_stats and len(shard_stats) > 1:
         print(f"sharded layout: {len(shard_stats)} shard(s)")
         for entry in shard_stats:
             print(

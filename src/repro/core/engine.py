@@ -10,9 +10,14 @@ One object offers the full lifecycle the paper measures:
 * :meth:`update` — compute the delta views from a warehouse increment and
   merge-pack every tree (Fig. 15).
 
-All I/O flows through one simulated disk so the reports are directly
-comparable with :class:`~repro.core.conventional.ConventionalEngine` runs
-on an identical device.
+The forest lives on ``shards`` independent partitions (default 1, the
+paper's single forest; see :mod:`repro.core.sharded`), each with its own
+simulated disk and an equal slice of the buffer budget.  With one shard
+all I/O flows through one simulated disk, so the reports are directly
+comparable with :class:`~repro.core.conventional.ConventionalEngine`
+runs on an identical device.  With several, phase I/O is reported on the
+critical path: counters sum over shards, simulated milliseconds are the
+slowest shard's (:func:`~repro.core.sharded.combine_io`).
 """
 
 from __future__ import annotations
@@ -30,25 +35,32 @@ from typing import (
     Type,
 )
 
-from repro.constants import DEFAULT_BUFFER_PAGES
+from repro.constants import DEFAULT_BUFFER_PAGES, PAGE_SIZE
 from repro.core.answer import finalize_fold, finalize_matches, split_bindings
-from repro.core.forest import CubetreeForest
+from repro.core.forest import CubetreeForest, pack_forests
 from repro.core.mapping import select_mapping
 from repro.core.replication import permute_state_rows, replica_definition
 from repro.core.reports import LoadReport, PhaseReport, UpdateReport
+from repro.core.sharded import (
+    Shard,
+    ShardedForest,
+    combine_io,
+    partition_state_rows,
+)
 from repro.core.sorting import make_substrate_sorter
 from repro.cube.lattice import CubeLattice
 from repro.cube.parallel import ParallelCubeComputation
 from repro.parallel import worker_count
-from repro.errors import QueryError
+from repro.errors import QueryError, ReproError
 from repro.obs import get_registry, trace
 from repro.query.result import QueryResult
 from repro.query.router import QueryRouter
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
 from repro.rtree.kernels import vector_kernels_enabled
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import BufferPool, BufferStats
 from repro.storage.disk import DiskManager
+from repro.storage.iomodel import IOStats
 from repro.warehouse.hierarchy import Hierarchy
 from repro.warehouse.star import StarSchema
 
@@ -66,13 +78,6 @@ _OBS_BATCHED_QUERIES = _REG.counter("query.cubetree.batched_queries")
 _OBS_PUSHDOWNS = _REG.counter("query.cubetree.pushdowns")
 
 
-def _env_fast_scans() -> bool:
-    """Default for the engine's ``fast_scans`` flag (``REPRO_FAST_SCANS``)."""
-    return os.environ.get("REPRO_FAST_SCANS", "").strip().lower() in (
-        "1", "true", "yes", "on",
-    )
-
-
 class CubetreeEngine:
     """Materialized ROLAP views stored as a forest of Cubetrees."""
 
@@ -82,12 +87,18 @@ class CubetreeEngine:
         hierarchies: Optional[Mapping[str, Hierarchy]] = None,
         buffer_pages: int = DEFAULT_BUFFER_PAGES,
         sort_chunk_rows: int = 100_000,
-        disk: Optional[DiskManager] = None,
+        disks: Optional[Sequence[DiskManager]] = None,
         workers: Optional[int] = None,
         fast_scans: Optional[bool] = None,
         pool_cls: Optional[Type[BufferPool]] = None,
+        shards: int = 1,
     ) -> None:
-        """``workers`` (default: ``REPRO_WORKERS``, i.e. 1) parallelizes
+        """``buffer_pages`` is the engine's total buffer budget; each of
+        the ``shards`` partitions gets ``buffer_pages // shards`` pages,
+        so every shard count runs in the same memory.  ``disks`` (one per
+        shard) hands checkpoint recovery's restored disks back.
+
+        ``workers`` (default: ``REPRO_WORKERS``, i.e. 1) parallelizes
         the pure-CPU stages — cube-computation branches and merge-pack run
         preparation — across processes; all simulated I/O stays in this
         process in serial order, so costs are identical at any count.
@@ -102,18 +113,41 @@ class CubetreeEngine:
         :class:`~repro.storage.buffer.BufferPool`); the serving layer
         passes :class:`~repro.storage.buffer.SharedBufferPool` so pool
         state stays sound under its worker threads."""
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if buffer_pages < shards:
+            raise ValueError(
+                f"a {buffer_pages}-page buffer budget cannot give each of "
+                f"{shards} shards a page"
+            )
+        if disks is not None and len(disks) != shards:
+            raise ValueError(
+                f"{len(disks)} restored disk(s) for {shards} shard(s)"
+            )
         self.schema = schema
-        self.fast_scans = (
-            _env_fast_scans() if fast_scans is None else fast_scans
-        )
-        self.disk = disk if disk is not None else DiskManager()
-        pool_factory = BufferPool if pool_cls is None else pool_cls
-        self.pool = pool_factory(self.disk, capacity=buffer_pages)
+        self.num_shards = shards
+        self.buffer_pages = buffer_pages
+        if fast_scans is None:
+            fast_scans = os.environ.get(
+                "REPRO_FAST_SCANS", ""
+            ).strip().lower() in ("1", "true", "yes", "on")
+        self.fast_scans = fast_scans
+        self.shards = [
+            Shard(
+                index,
+                buffer_pages // shards,
+                pool_cls=pool_cls,
+                disk=disks[index] if disks is not None else None,
+            )
+            for index in range(shards)
+        ]
         self.workers = worker_count() if workers is None else max(1, workers)
+        # Substrate sort spills (rare at bench scales) charge shard 0:
+        # the cube computation is global.
         self.computation = ParallelCubeComputation(
             schema,
             hierarchies,
-            sorter=make_substrate_sorter(self.pool, sort_chunk_rows),
+            sorter=make_substrate_sorter(self.shards[0].pool, sort_chunk_rows),
             workers=self.workers,
             serial_row_threshold=sort_chunk_rows,
         )
@@ -133,9 +167,65 @@ class CubetreeEngine:
             },
             fast_scans=self.fast_scans,
         )
-        self.forest: Optional[CubetreeForest] = None
+        self.forest: Optional[ShardedForest] = None
         self.base_views: List[ViewDefinition] = []
         self.replicas: Dict[str, str] = {}  # replica name -> base name
+
+    # ------------------------------------------------------------------
+    # one-shard accessors
+    # ------------------------------------------------------------------
+    @property
+    def disk(self) -> DiskManager:
+        """The engine's disk; only defined with one shard."""
+        return self._only_shard().disk
+
+    @property
+    def pool(self) -> BufferPool:
+        """The engine's buffer pool; only defined with one shard."""
+        return self._only_shard().pool
+
+    def _only_shard(self) -> Shard:
+        if self.num_shards != 1:
+            raise ReproError(
+                f"engine has {self.num_shards} shards, each with its own "
+                f"disk and pool; use engine.shards[i]"
+            )
+        return self.shards[0]
+
+    # ------------------------------------------------------------------
+    # I/O accounting (critical-path convention)
+    # ------------------------------------------------------------------
+    def io_snapshot(self) -> List[IOStats]:
+        """Per-shard cost-model snapshots (pass to :meth:`io_delta`)."""
+        return [shard.disk.cost_model.snapshot() for shard in self.shards]
+
+    def io_delta(self, snapshots: Sequence[IOStats]) -> IOStats:
+        """Combined delta since a snapshot: summed counters, max ms."""
+        return combine_io(
+            [
+                shard.disk.cost_model.stats - before
+                for shard, before in zip(self.shards, snapshots)
+            ]
+        )
+
+    def io_totals(self) -> IOStats:
+        """Lifetime combined stats (critical-path milliseconds)."""
+        return combine_io(self.io_snapshot())
+
+    def buffer_totals(self) -> BufferStats:
+        """Summed lifetime buffer-pool stats across shards."""
+        total = BufferStats()
+        for shard in self.shards:
+            stats = shard.pool.stats
+            total.hits += stats.hits
+            total.misses += stats.misses
+            total.evictions += stats.evictions
+            total.new_pages += stats.new_pages
+            total.unpins += stats.unpins
+            total.scan_admissions += stats.scan_admissions
+            total.promotions += stats.promotions
+            total.readahead_pages += stats.readahead_pages
+        return total
 
     # ------------------------------------------------------------------
     # loading
@@ -159,9 +249,11 @@ class CubetreeEngine:
             (the Datablade's multi-sort-order replication).
         """
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
-        with trace("engine.materialize", views=len(views)):
+        with trace(
+            "engine.materialize", views=len(views), shards=self.num_shards
+        ):
             self.base_views = list(views)
             data = self.computation.execute(fact_rows, self.base_views)
 
@@ -179,19 +271,67 @@ class CubetreeEngine:
                     )
 
             allocation = select_mapping(all_views)
-            self.forest = CubetreeForest(self.pool, allocation)
-            self.forest.build(data, workers=self.workers)
-            self.pool.flush_all()
+            views_by_name = {view.name: view for view in all_views}
+            for shard in self.shards:
+                shard.forest = CubetreeForest(shard.pool, allocation)
+            self.forest = ShardedForest(self.shards)
+            self._pack(
+                self._partition(views_by_name, data, keep_empty=True),
+                update=False,
+            )
 
         report = LoadReport()
         report.phases["views"] = PhaseReport(
-            io=self.disk.cost_model.stats - io_start,
+            io=self.io_delta(snapshots),
             wall_ms=(time.perf_counter() - wall_start) * 1000.0,
         )
         report.view_rows = sum(len(rows) for rows in data.values())
         report.pages = self.forest.num_pages
         report.bytes_on_disk = self.storage_bytes()
         return report
+
+    def _partition(
+        self,
+        views_by_name: Mapping[str, ViewDefinition],
+        data: Mapping[str, Sequence[Row]],
+        keep_empty: bool,
+    ) -> List[Dict[str, Sequence[Row]]]:
+        """Residue-split every view's rows; one data mapping per shard.
+
+        ``keep_empty`` keeps zero-row views in each shard's mapping (the
+        bulk load requires data for every view); updates drop them so a
+        shard with no deltas skips merge-pack entirely.
+        """
+        if self.num_shards == 1:
+            return [dict(data)]
+        per_shard: List[Dict[str, Sequence[Row]]] = [
+            {} for _ in range(self.num_shards)
+        ]
+        for name, rows in data.items():
+            parts = partition_state_rows(
+                views_by_name[name], rows, self.num_shards
+            )
+            for index, part in enumerate(parts):
+                if part or keep_empty:
+                    per_shard[index][name] = part
+        return per_shard
+
+    def _pack(
+        self, per_shard: Sequence[Mapping[str, Sequence[Row]]], update: bool
+    ) -> None:
+        """Build or merge-pack every shard in one worker fan-out, then
+        flush every pool."""
+        pack_forests(
+            [
+                (shard.require_forest(), data)
+                for shard, data in zip(self.shards, per_shard)
+            ],
+            self.workers,
+            update=update,
+        )
+        self._require_forest().invalidate()
+        for shard in self.shards:
+            shard.pool.flush_all()
 
     # ------------------------------------------------------------------
     # queries
@@ -210,9 +350,9 @@ class CubetreeEngine:
         forest = self._require_forest()
         use_fast = self.fast_scans if fast is None else fast
         if use_fast:
-            self._protect_index_pages()
+            forest.protect_index_pages()
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
         decision = self.router.route(
             query, forest.access_paths(), fast_scans=use_fast
@@ -224,7 +364,7 @@ class CubetreeEngine:
             and not query.group_by
             and not residual
             and vector_kernels_enabled()
-            and forest.has_run(view.name)
+            and forest.can_fold(view.name, direct)
         ):
             # Aggregate pushdown: a total query with no residual filter
             # needs only the slice's combined states, so the run pass
@@ -241,7 +381,7 @@ class CubetreeEngine:
             rows = finalize_matches(
                 matches, view, query, self.hierarchies, residual
             )
-        io = self.disk.cost_model.stats - io_start
+        io = self.io_delta(snapshots)
         wall_ms = (time.perf_counter() - wall_start) * 1000.0
         _OBS_QUERIES.value += 1
         _OBS_QUERY_SIM_MS.observe(io.simulated_ms)
@@ -263,51 +403,54 @@ class CubetreeEngine:
         from repro.query.batch import execute_batch
 
         forest = self._require_forest()
-        self._protect_index_pages()
+        forest.protect_index_pages()
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
-        with trace("engine.query_batch", queries=len(queries)):
+        with trace(
+            "engine.query_batch", queries=len(queries), shards=self.num_shards
+        ):
             batch = execute_batch(
                 self.router, forest, self.hierarchies, queries
             )
-        batch.io = self.disk.cost_model.stats - io_start
+        batch.io = self.io_delta(snapshots)
         batch.wall_ms = (time.perf_counter() - wall_start) * 1000.0
         _OBS_BATCHES.value += 1
         _OBS_BATCHED_QUERIES.value += batch.batched
         _OBS_QUERIES.value += len(queries)
         return batch
 
-    def _protect_index_pages(self) -> None:
-        """Shelter interior/root pages from scan churn (idempotent)."""
-        if self.forest is not None:
-            self.forest.protect_index_pages()
-
     # ------------------------------------------------------------------
     # bulk-incremental updates
     # ------------------------------------------------------------------
     def update(self, fact_delta: Sequence[Row]) -> UpdateReport:
-        """Merge-pack a warehouse increment into every Cubetree."""
+        """Merge-pack a warehouse increment into every touched shard."""
         forest = self._require_forest()
         wall_start = time.perf_counter()
-        io_start = self.disk.cost_model.snapshot()
+        snapshots = self.io_snapshot()
 
-        with trace("engine.update", rows=len(fact_delta)):
+        with trace(
+            "engine.update", rows=len(fact_delta), shards=self.num_shards
+        ):
             deltas = self.computation.execute(fact_delta, self.base_views)
-            by_name = {view.name: view for view in self.base_views}
+            views_by_name = {view.name: view for view in self.base_views}
             for replica_name, base_name in self.replicas.items():
                 replica = forest.view_definition(replica_name)
                 deltas[replica_name] = list(
                     permute_state_rows(
-                        by_name[base_name], deltas[base_name], replica.group_by
+                        views_by_name[base_name], deltas[base_name],
+                        replica.group_by,
                     )
                 )
-            forest.update(deltas, workers=self.workers)
-            self.pool.flush_all()
+                views_by_name[replica_name] = replica
+            self._pack(
+                self._partition(views_by_name, deltas, keep_empty=False),
+                update=True,
+            )
 
         return UpdateReport(
             method="cubetree merge-pack",
-            io=self.disk.cost_model.stats - io_start,
+            io=self.io_delta(snapshots),
             wall_ms=(time.perf_counter() - wall_start) * 1000.0,
             rows_applied=sum(len(rows) for rows in deltas.values()),
         )
@@ -332,20 +475,45 @@ class CubetreeEngine:
     # statistics
     # ------------------------------------------------------------------
     def view_sizes(self) -> Dict[str, int]:
-        """Tuple count per materialized view."""
+        """Tuple count per materialized view (summed over shards)."""
         return self._require_forest().view_sizes()
 
     def storage_pages(self) -> int:
-        """Total pages owned by this engine's structures."""
+        """Total pages owned by this engine's structures (all shards)."""
         return self._require_forest().num_pages
 
     def storage_bytes(self) -> int:
         """Total bytes on disk (pages * PAGE_SIZE)."""
-        from repro.constants import PAGE_SIZE
-
         return self.storage_pages() * PAGE_SIZE
 
-    def _require_forest(self) -> CubetreeForest:
+    def shard_stats(self) -> List[Dict[str, object]]:
+        """Per-shard observability: pages, I/O, hit rates, routed queries."""
+        records: List[Dict[str, object]] = []
+        for shard in self.shards:
+            io = shard.disk.cost_model.stats
+            buf = shard.pool.stats
+            forest = shard.forest
+            records.append(
+                {
+                    "shard": shard.index,
+                    "pages": forest.num_pages if forest is not None else 0,
+                    "rows": (
+                        sum(forest.view_sizes().values())
+                        if forest is not None
+                        else 0
+                    ),
+                    "simulated_ms": io.simulated_ms,
+                    "reads": io.reads,
+                    "writes": io.writes,
+                    "buffer_hit_ratio": (
+                        buf.hit_ratio if buf.accesses > 0 else None
+                    ),
+                    "routed_queries": shard.routed_queries,
+                }
+            )
+        return records
+
+    def _require_forest(self) -> ShardedForest:
         if self.forest is None:
             raise QueryError("engine has no materialized views yet")
         return self.forest

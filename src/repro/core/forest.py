@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.cubetree import Cubetree, prepare_packed_runs
 from repro.core.extsort import build_memory_budget
@@ -23,6 +23,114 @@ def _prepare_tree_runs(
     """Worker body: packing-order run prep for one tree (pure CPU)."""
     dims, views, data = payload
     return prepare_packed_runs(dims, views, data)
+
+
+def pack_forests(
+    jobs: Sequence[Tuple["CubetreeForest", Mapping[str, Sequence[Row]]]],
+    workers: int,
+    update: bool,
+) -> None:
+    """Bulk-load (or merge-pack) ``(forest, data)`` pairs in one go.
+
+    A build needs data for every view of its forest; an update touches
+    only the trees holding views present in its deltas.  With
+    ``workers > 1`` (and enough rows to amortize the pool round-trip)
+    the packing-order run preparation — row coercion plus sort, pure
+    CPU — fans out one tree per worker across every forest; the packs
+    themselves, everything that touches a buffer pool and charges
+    simulated I/O, still run serially in (forest, tree) order, so the
+    I/O trace is identical to the serial build.
+
+    A configured build-memory budget (``REPRO_BUILD_MEMORY``) takes
+    precedence over the worker fan-out: materializing whole sorted runs
+    in workers would defeat the bound, so each tree streams through its
+    bounded external sort serially instead.
+    """
+    tasks = []
+    total_rows = 0
+    for forest, data in jobs:
+        if update:
+            trees = [
+                tree
+                for tree in forest.cubetrees
+                if any(view.name in data for view in tree.views)
+            ]
+        else:
+            missing = set(forest._view_tree) - set(data)
+            if missing:
+                raise QueryError(f"no data for views {sorted(missing)}")
+            trees = list(forest.cubetrees)
+        total_rows += sum(
+            len(data[name]) for name in forest._view_tree if name in data
+        )
+        for tree in trees:
+            relevant = {
+                view.name: data[view.name]
+                for view in tree.views
+                if view.name in data
+            }
+            tasks.append((tree, (tree.dims, tree.views, relevant)))
+    if (
+        workers > 1
+        and len(tasks) > 1
+        and total_rows >= MIN_PARALLEL_ROWS
+        and build_memory_budget() is None
+    ):
+        runs_per_tree = run_tasks(
+            _prepare_tree_runs, [payload for _tree, payload in tasks], workers
+        )
+        for (tree, _payload), runs in zip(tasks, runs_per_tree):
+            if update:
+                tree.update_from_runs(runs)
+            else:
+                tree.build_from_runs(runs)
+    else:
+        for tree, (_dims, _views, relevant) in tasks:
+            if update:
+                tree.update(relevant)
+            else:
+                tree.build(relevant)
+    for forest, data in jobs:
+        if not update:
+            forest._sizes = {name: len(rows) for name, rows in data.items()}
+            forest._paths = None
+        elif data:
+            # Recounted lazily on the next routing request.
+            forest._sizes = None
+            forest._paths = None
+
+
+def view_access_paths(
+    views: Sequence[ViewDefinition],
+    sizes: Mapping[str, int],
+    run_leaves: Callable[[str], Optional[int]],
+) -> List[AccessPath]:
+    """Router inputs: each view with its Cubetree sort order.
+
+    A view mapped with coordinate order ``(a1..ak)`` is packed sorted
+    by ``(ak, ..., a1)``, so that reversed order is the view's
+    clustering order — the Cubetree analogue of a B-tree search key.
+    ``run_leaves`` gives a view's packed-run leaf count (None without a
+    recorded extent).
+    """
+    from repro.rtree.node import leaf_capacity
+
+    paths = []
+    for view in views:
+        order = tuple(reversed(view.group_by))
+        paths.append(
+            AccessPath(
+                view,
+                float(sizes[view.name]),
+                (order,),
+                rows_per_page=leaf_capacity(
+                    view.arity, view.total_state_width
+                ),
+                clustered=order,
+                run_leaves=run_leaves(view.name),
+            )
+        )
+    return paths
 
 
 class CubetreeForest:
@@ -68,95 +176,16 @@ class CubetreeForest:
     def build(
         self, data: Mapping[str, Sequence[Row]], workers: int = 1
     ) -> None:
-        """Bulk-load every tree from the computed view data.
-
-        With ``workers > 1`` (and enough rows to amortize the pool
-        round-trip) the packing-order run preparation (row coercion +
-        sort, pure CPU) fans out one tree per worker; the
-        packs themselves — everything that touches the buffer pool and
-        charges simulated I/O — still run serially in tree order, so the
-        I/O trace is identical to the serial build.
-
-        A configured build-memory budget (``REPRO_BUILD_MEMORY``) takes
-        precedence over the worker fan-out: materializing whole sorted
-        runs in workers would defeat the bound, so each tree streams
-        through its bounded external sort serially instead.
-        """
-        missing = set(self._view_tree) - set(data)
-        if missing:
-            raise QueryError(f"no data for views {sorted(missing)}")
-        if (
-            workers > 1
-            and len(self.cubetrees) > 1
-            and self._total_rows(data) >= MIN_PARALLEL_ROWS
-            and build_memory_budget() is None
-        ):
-            runs_per_tree = run_tasks(
-                _prepare_tree_runs,
-                [self._prep_payload(tree, data) for tree in self.cubetrees],
-                workers,
-            )
-            for tree, runs in zip(self.cubetrees, runs_per_tree):
-                tree.build_from_runs(runs)
-        else:
-            for tree in self.cubetrees:
-                tree.build(data)
-        self._sizes = {name: len(rows) for name, rows in data.items()}
-        self._paths = None
+        """Bulk-load every tree from the computed view data
+        (see :func:`pack_forests`)."""
+        pack_forests([(self, data)], workers, update=False)
 
     def update(
         self, deltas: Mapping[str, Sequence[Row]], workers: int = 1
     ) -> None:
-        """Merge-pack deltas into every tree that has any.
-
-        As in :meth:`build`, ``workers > 1`` parallelizes only the
-        pure-CPU delta-run preparation; each tree's merge-pack I/O runs
-        serially in tree order.
-        """
-        touched = [
-            tree
-            for tree in self.cubetrees
-            if any(view.name in deltas for view in tree.views)
-        ]
-        if (
-            workers > 1
-            and len(touched) > 1
-            and self._total_rows(deltas) >= MIN_PARALLEL_ROWS
-        ):
-            runs_per_tree = run_tasks(
-                _prepare_tree_runs,
-                [self._prep_payload(tree, deltas) for tree in touched],
-                workers,
-            )
-            for tree, runs in zip(touched, runs_per_tree):
-                tree.update_from_runs(runs)
-        else:
-            for tree in touched:
-                relevant = {
-                    view.name: deltas[view.name]
-                    for view in tree.views
-                    if view.name in deltas
-                }
-                tree.update(relevant)
-        self._sizes = None  # recounted lazily on the next routing request
-        self._paths = None
-
-    def _total_rows(self, data: Mapping[str, Sequence[Row]]) -> int:
-        """Rows this forest would prepare — the fan-out worthwhileness."""
-        return sum(
-            len(data[name]) for name in self._view_tree if name in data
-        )
-
-    @staticmethod
-    def _prep_payload(
-        tree: Cubetree, data: Mapping[str, Sequence[Row]]
-    ) -> Tuple[int, Tuple[ViewDefinition, ...], Dict[str, Sequence[Row]]]:
-        relevant = {
-            view.name: data[view.name]
-            for view in tree.views
-            if view.name in data
-        }
-        return tree.dims, tree.views, relevant
+        """Merge-pack deltas into every tree that has any
+        (see :func:`pack_forests`)."""
+        pack_forests([(self, deltas)], workers, update=True)
 
     # ------------------------------------------------------------------
     # checkpoint restore
@@ -189,22 +218,6 @@ class CubetreeForest:
                     "view_extents", {}
                 ).items()
             }
-        self._paths = None
-
-    def adopt_sizes(self, data: Mapping[str, Sequence[Row]]) -> None:
-        """Record tuple counts after an externally driven bulk build.
-
-        The sharded engine packs trees via :meth:`Cubetree.build` /
-        ``build_from_runs`` directly (one worker fan-out across every
-        shard's trees), then adopts the row counts here — the same
-        bookkeeping :meth:`build` does for its own trees.
-        """
-        self._sizes = {name: len(rows) for name, rows in data.items()}
-        self._paths = None
-
-    def invalidate_stats(self) -> None:
-        """Drop cached sizes/paths after an externally driven merge-pack."""
-        self._sizes = None
         self._paths = None
 
     def set_view_sizes(self, sizes: Mapping[str, int]) -> None:
@@ -272,34 +285,13 @@ class CubetreeForest:
 
     # ------------------------------------------------------------------
     def access_paths(self) -> List[AccessPath]:
-        """Router inputs: each view with its Cubetree sort order.
-
-        A view mapped with coordinate order ``(a1..ak)`` is packed sorted
-        by ``(ak, ..., a1)``, so that reversed order is the view's
-        clustering order — the Cubetree analogue of a B-tree search key.
-        """
+        """Router inputs (see :func:`view_access_paths`), cached."""
         if self._paths is None:
-            from repro.rtree.node import leaf_capacity
-
-            sizes = self.view_sizes()
-            paths = []
-            for name in self.view_names():
-                view = self.view_definition(name)
-                order = tuple(reversed(view.group_by))
-                tree = self._tree_for(name)
-                paths.append(
-                    AccessPath(
-                        view,
-                        float(sizes[name]),
-                        (order,),
-                        rows_per_page=leaf_capacity(
-                            view.arity, view.total_state_width
-                        ),
-                        clustered=order,
-                        run_leaves=tree.run_leaf_count(name),
-                    )
-                )
-            self._paths = paths
+            self._paths = view_access_paths(
+                [self.view_definition(name) for name in self.view_names()],
+                self.view_sizes(),
+                self.run_leaf_count,
+            )
         return self._paths
 
     # ------------------------------------------------------------------

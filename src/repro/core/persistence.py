@@ -16,6 +16,11 @@ numbered **generations**::
       gen-000002/
         ...             the next checkpoint; gen-000001 stays intact
 
+That is the layout of a one-shard engine.  An engine with N > 1 shards
+writes ``shard-XX/{pages.bin,pages.crc,shard.json}`` per shard plus one
+global ``meta.json`` inside the generation, all covered by the same
+single manifest (``layout: "sharded"``).
+
 :func:`save_engine` writes a brand-new ``gen-<n>/`` directory next to the
 existing ones and *commits* it by writing ``MANIFEST.json`` to a temporary
 name, fsyncing, and atomically renaming it into place — the manifest's
@@ -63,6 +68,7 @@ from repro.constants import PAGE_SIZE
 from repro.core.engine import CubetreeEngine
 from repro.core.forest import CubetreeForest
 from repro.core.mapping import CubetreeAllocation, TreeAssignment
+from repro.core.sharded import ShardedForest
 from repro.errors import ReproError
 from repro.relational.executor import AggFunc, AggSpec
 from repro.relational.view import ViewDefinition
@@ -99,11 +105,12 @@ def _shard_dir_name(index: int) -> str:
     return f"{SHARD_DIR_PREFIX}{index:02d}"
 
 
-class _ShardCrashPoint:
+class _ShardCrashPoint(CrashPoint):
     """Prefixes crash contexts with the shard, so recovery tests can
     target (and reports can attribute) a specific shard's write sites."""
 
     def __init__(self, inner: CrashPoint, index: int) -> None:
+        super().__init__()
         self._inner = inner
         self._prefix = f"shard {index} "
 
@@ -193,9 +200,33 @@ def _tree_state(tree) -> dict:
     }
 
 
-def _build_meta(engine: CubetreeEngine, forest: CubetreeForest) -> dict:
-    """The catalog, normalized so serialization is deterministic."""
+def _shard_state(shard) -> dict:
+    """One shard's catalog entries: tree states, sizes, allocator."""
     return {
+        "trees": [_tree_state(tree) for tree in shard.forest.cubetrees],
+        "sizes": {
+            str(name): int(size)
+            for name, size in shard.forest.view_sizes().items()
+        },
+        "disk": {
+            "next_page_id": int(
+                shard.disk.allocation_state()["next_page_id"]
+            ),
+            "freed": [
+                int(p) for p in shard.disk.allocation_state()["freed"]
+            ],
+        },
+    }
+
+
+def _build_meta(engine: CubetreeEngine) -> dict:
+    """The catalog, normalized so serialization is deterministic.
+
+    One shard's tree states live in the catalog itself (the single
+    layout); a sharded catalog records the shard count instead and each
+    shard's states go to its own ``shard.json``.
+    """
+    meta = {
         "format_version": FORMAT_VERSION,
         "schema": _schema_to_json(engine.schema),
         "hierarchies": sorted(
@@ -219,19 +250,21 @@ def _build_meta(engine: CubetreeEngine, forest: CubetreeForest) -> dict:
                 "dims": int(assignment.dims),
                 "views": [_view_to_json(v) for v in assignment.views],
             }
-            for assignment in forest.allocation.trees
+            for assignment in engine.shards[0].forest.allocation.trees
         ],
-        "trees": [_tree_state(tree) for tree in forest.cubetrees],
         "sizes": {
             str(name): int(size)
-            for name, size in forest.view_sizes().items()
+            for name, size in engine.view_sizes().items()
         },
-        "disk": {
-            "next_page_id": int(engine.disk.allocation_state()["next_page_id"]),
-            "freed": [int(p) for p in engine.disk.allocation_state()["freed"]],
-        },
-        "buffer_pages": int(engine.pool.capacity),
+        # The engine's total budget; a reload splits it across shards.
+        "buffer_pages": int(engine.buffer_pages),
     }
+    if engine.num_shards == 1:
+        meta.update(_shard_state(engine.shards[0]))
+    else:
+        meta["layout"] = LAYOUT_SHARDED
+        meta["num_shards"] = int(engine.num_shards)
+    return meta
 
 
 def _meta_bytes(meta: dict) -> bytes:
@@ -375,68 +408,135 @@ def save_engine(
 ) -> str:
     """Checkpoint a loaded CubetreeEngine into a new generation.
 
-    Returns the committed generation directory.  ``crash_point`` defaults
-    to the engine disk's hook, so a test that armed
-    ``engine.disk.crash_point`` kills the checkpoint the same way it kills
-    a merge-pack.  ``retain`` committed generations are kept; older ones
-    (and any uncommitted partials) are pruned only after the new manifest
-    is in place, so a crash at any point keeps the last committed
-    generation reopenable.  Generation numbers in ``protect`` are never
-    pruned regardless of ``retain`` — the serving layer passes the set of
-    reader-pinned generations so a snapshot someone is still reading from
-    keeps its files.
+    Returns the committed generation directory.  One shard writes the
+    single layout (``pages.bin``, ``pages.crc`` and ``meta.json`` in the
+    generation directory).  Several shards write
+    ``shard-XX/{pages.bin,pages.crc,shard.json}`` each, plus one global
+    ``meta.json``.  Either way ONE ``MANIFEST.json`` lists every file, so
+    the single atomic manifest rename commits all shards together: a
+    crash anywhere mid-checkpoint leaves *every* shard on the previous
+    generation.
+
+    ``crash_point`` defaults to the first armed shard-disk hook (or
+    shard 0's), so a test that armed ``engine.disk.crash_point`` kills
+    the checkpoint the same way it kills a merge-pack.  With several
+    shards, per-shard write sites prefix their contexts ``shard <i> ``;
+    the commit-level sites keep the same names in both layouts.
+    ``retain`` committed generations are kept; older ones (and any
+    uncommitted partials) are pruned only after the new manifest is in
+    place, so a crash at any point keeps the last committed generation
+    reopenable.  Generation numbers in ``protect`` are never pruned
+    regardless of ``retain`` — the serving layer passes the set of
+    reader-pinned generations so a snapshot someone is still reading
+    from keeps its files.
     """
-    forest = engine.forest
-    if forest is None:
+    if engine.forest is None:
         raise PersistenceError("engine has no materialized views to save")
     if retain < 1:
         raise ValueError("retain must be >= 1")
     if crash_point is None:
-        crash_point = getattr(engine.disk, "crash_point", None)
+        hooks = [
+            getattr(shard.disk, "crash_point", None) for shard in engine.shards
+        ]
+        armed = [hook for hook in hooks if getattr(hook, "armed", False)]
+        crash_point = armed[0] if armed else hooks[0]
 
     os.makedirs(directory, exist_ok=True)
-    engine.pool.flush_all()
+    for shard in engine.shards:
+        shard.pool.flush_all()
 
     generations = _list_generations(directory)
     number = (generations[-1][0] + 1) if generations else 1
     gen_path = os.path.join(directory, _generation_name(number))
     os.makedirs(gen_path)
 
-    # 1. the page dump (one crash site per page, inside dump_pages)
-    pages_path = os.path.join(gen_path, PAGES_NAME)
-    engine.disk.dump_pages(pages_path, crash_point=crash_point)
+    sharded = engine.num_shards > 1
+    files: Dict[str, dict] = {}
+    shard_entries: List[dict] = []
+    total_pages = 0
+    for shard in engine.shards:
+        if sharded:
+            sub = _shard_dir_name(shard.index)
+            prefix = sub + "/"
+            os.makedirs(os.path.join(gen_path, sub))
+            hook: Optional[CrashPoint] = (
+                _ShardCrashPoint(crash_point, shard.index)
+                if crash_point is not None
+                else None
+            )
+        else:
+            sub, prefix, hook = "", "", crash_point
 
-    # 2. per-page checksums, read back from the dump just written
-    page_crcs = _page_checksums(pages_path)
-    crc_payload = b"".join(crc.to_bytes(4, "little") for crc in page_crcs)
-    crc_path = os.path.join(gen_path, CHECKSUMS_NAME)
-    _write_file(crc_path, crc_payload, crash_point, "checkpoint page checksums")
+        # 1. the page dump (one crash site per page, inside dump_pages)
+        pages_path = os.path.join(gen_path, prefix + PAGES_NAME)
+        shard.disk.dump_pages(pages_path, crash_point=hook)
 
-    # 3. the catalog
-    meta_payload = _meta_bytes(_build_meta(engine, forest))
-    meta_path = os.path.join(gen_path, META_NAME)
-    _write_file(meta_path, meta_payload, crash_point, "checkpoint catalog")
+        # 2. per-page checksums, read back from the dump just written
+        page_crcs = _page_checksums(pages_path)
+        crc_payload = b"".join(
+            crc.to_bytes(4, "little") for crc in page_crcs
+        )
+        _write_file(
+            os.path.join(gen_path, prefix + CHECKSUMS_NAME),
+            crc_payload,
+            hook,
+            "checkpoint page checksums",
+        )
+        files[prefix + PAGES_NAME] = {
+            "bytes": os.path.getsize(pages_path),
+            "crc32": _file_crc(pages_path),
+        }
+        files[prefix + CHECKSUMS_NAME] = {
+            "bytes": len(crc_payload),
+            "crc32": zlib.crc32(crc_payload),
+        }
+        total_pages += len(page_crcs)
 
-    # 4. the commit record: temp write, fsync, atomic rename
+        # 3. a sharded layout's per-shard catalog
+        if sharded:
+            shard_payload = _meta_bytes(
+                {
+                    "format_version": FORMAT_VERSION,
+                    "shard": int(shard.index),
+                    **_shard_state(shard),
+                }
+            )
+            _write_file(
+                os.path.join(gen_path, prefix + SHARD_META_NAME),
+                shard_payload,
+                hook,
+                "checkpoint catalog",
+            )
+            files[prefix + SHARD_META_NAME] = {
+                "bytes": len(shard_payload),
+                "crc32": zlib.crc32(shard_payload),
+            }
+            shard_entries.append({"dir": sub, "page_count": len(page_crcs)})
+
+    # 4. the catalog
+    meta_payload = _meta_bytes(_build_meta(engine))
+    _write_file(
+        os.path.join(gen_path, META_NAME),
+        meta_payload,
+        crash_point,
+        "checkpoint catalog",
+    )
+    files[META_NAME] = {
+        "bytes": len(meta_payload),
+        "crc32": zlib.crc32(meta_payload),
+    }
+
+    # 5. the commit record: temp write, fsync, atomic rename
     manifest = {
         "format_version": FORMAT_VERSION,
         "generation": number,
-        "page_count": len(page_crcs),
-        "files": {
-            PAGES_NAME: {
-                "bytes": os.path.getsize(pages_path),
-                "crc32": _file_crc(pages_path),
-            },
-            CHECKSUMS_NAME: {
-                "bytes": len(crc_payload),
-                "crc32": zlib.crc32(crc_payload),
-            },
-            META_NAME: {
-                "bytes": len(meta_payload),
-                "crc32": zlib.crc32(meta_payload),
-            },
-        },
+        "page_count": total_pages,
+        "files": files,
     }
+    if sharded:
+        manifest["layout"] = LAYOUT_SHARDED
+        manifest["num_shards"] = int(engine.num_shards)
+        manifest["shards"] = shard_entries
     manifest_tmp = os.path.join(gen_path, MANIFEST_NAME + ".tmp")
     manifest_path = os.path.join(gen_path, MANIFEST_NAME)
     _write_file(
@@ -450,10 +550,14 @@ def save_engine(
     _fsync_dir(gen_path)
     _fsync_dir(directory)
 
-    # 5. only now retire older generations (and stale partials)
+    # 6. only now retire older generations (and stale partials)
     _crash_hit(crash_point, "checkpoint prune")
     _prune(directory, keep_newest=number, retain=retain, protect=protect)
     return gen_path
+
+
+#: The name the serving layer checkpoints through.
+save_database = save_engine
 
 
 def _prune(
@@ -732,7 +836,7 @@ def _has_v1_layout(directory: str) -> bool:
 def load_engine(
     directory: str, pool_cls: Optional[Type] = None
 ) -> CubetreeEngine:
-    """Reopen a database saved by :func:`save_engine`.
+    """Reopen a database saved by :func:`save_engine`, of either layout.
 
     Recovery rule: the newest generation whose ``MANIFEST.json`` exists is
     the database; generations without a manifest are crash debris and are
@@ -741,37 +845,26 @@ def load_engine(
     raises :class:`CorruptCheckpointError` instead of silently loading.
     Directories written by format v1 (flat ``meta.json`` + ``pages.bin``)
     are still readable.  ``pool_cls`` is forwarded to the reopened
-    engine's buffer pool (the serving layer passes
+    engine's buffer pools (the serving layer passes
     :class:`~repro.storage.buffer.SharedBufferPool`).
     """
     newest, _partials = _newest_committed(directory)
     if newest is not None:
         report = CheckpointReport(directory=directory)
-        manifest = _validate_generation(newest, report)
-        if manifest.get("layout") == LAYOUT_SHARDED:
-            raise PersistenceError(
-                f"{newest!r} is a sharded checkpoint; open it with "
-                f"load_sharded_engine or load_any_engine"
-            )
+        _validate_generation(newest, report)
         if not report.ok:
             raise CorruptCheckpointError(
                 f"checkpoint {newest!r} failed validation:\n"
                 + "\n".join(f"  {problem}" for problem in report.problems)
             )
-        return _load_layout(
-            os.path.join(newest, META_NAME),
-            os.path.join(newest, PAGES_NAME),
-            expected_versions=SUPPORTED_FORMAT_VERSIONS,
-            pool_cls=pool_cls,
-        )
+        return _open(newest, SUPPORTED_FORMAT_VERSIONS, pool_cls)
     if _has_v1_layout(directory):
-        return _load_layout(
-            os.path.join(directory, META_NAME),
-            os.path.join(directory, PAGES_NAME),
-            expected_versions=(1,),
-            pool_cls=pool_cls,
-        )
+        return _open(directory, (1,), pool_cls)
     raise PersistenceError(f"no saved database in {directory!r}")
+
+
+#: The name the serving layer reopens databases through.
+load_any_engine = load_engine
 
 
 def _allocation_from_json(assignments: List[dict]) -> CubetreeAllocation:
@@ -786,13 +879,13 @@ def _allocation_from_json(assignments: List[dict]) -> CubetreeAllocation:
     return CubetreeAllocation(trees=trees)
 
 
-def _load_layout(
-    meta_path: str,
-    pages_path: str,
+def _open(
+    path: str,
     expected_versions: Tuple[int, ...],
     pool_cls: Optional[Type] = None,
 ) -> CubetreeEngine:
-    with open(meta_path) as handle:
+    """Rebuild an engine from a verified generation (or v1) directory."""
+    with open(os.path.join(path, META_NAME)) as handle:
         meta = json.load(handle)
     if meta.get("format_version") not in expected_versions:
         raise PersistenceError(
@@ -808,371 +901,64 @@ def _load_layout(
             dim, item["dim_attribute"]
         )
 
-    expected_pages = int(meta["disk"]["next_page_id"])
-    actual_bytes = os.path.getsize(pages_path)
-    if actual_bytes != expected_pages * PAGE_SIZE:
-        raise PersistenceError(
-            f"page dump {pages_path!r} holds {actual_bytes} bytes; the "
-            f"catalog's allocator state needs exactly "
-            f"{expected_pages} pages ({expected_pages * PAGE_SIZE} bytes) "
-            f"— the checkpoint is torn"
-        )
-    disk = DiskManager.restore(pages_path, meta["disk"])
+    if meta.get("layout") == LAYOUT_SHARDED:
+        shard_paths = [
+            os.path.join(path, _shard_dir_name(index))
+            for index in range(int(meta["num_shards"]))
+        ]
+        states = []
+        for shard_path in shard_paths:
+            with open(os.path.join(shard_path, SHARD_META_NAME)) as handle:
+                states.append(json.load(handle))
+    else:
+        shard_paths, states = [path], [meta]
+
+    disks: List[DiskManager] = []
+    for shard_path, state in zip(shard_paths, states):
+        pages_path = os.path.join(shard_path, PAGES_NAME)
+        expected_pages = int(state["disk"]["next_page_id"])
+        actual_bytes = os.path.getsize(pages_path)
+        if actual_bytes != expected_pages * PAGE_SIZE:
+            raise PersistenceError(
+                f"page dump {pages_path!r} holds {actual_bytes} bytes; the "
+                f"catalog's allocator state needs exactly "
+                f"{expected_pages} pages ({expected_pages * PAGE_SIZE} "
+                f"bytes) — the checkpoint is torn"
+            )
+        disks.append(DiskManager.restore(pages_path, state["disk"]))
+
     engine = CubetreeEngine(
         schema,
         hierarchies=hierarchies,
         buffer_pages=int(meta.get("buffer_pages", 256)),
-        disk=disk,
-        pool_cls=pool_cls,
-    )
-    engine.base_views = [_view_from_json(v) for v in meta["base_views"]]
-    engine.replicas = {
-        str(replica): str(base)
-        for replica, base in meta["replicas"].items()
-    }
-
-    tree_states = meta["trees"]
-    assignments = meta["allocation"]
-    if len(tree_states) != len(assignments):
-        raise PersistenceError(
-            f"catalog mismatch: {len(assignments)} tree assignment(s) in "
-            f"the allocation but {len(tree_states)} saved tree state(s)"
-        )
-    allocation = _allocation_from_json(assignments)
-    forest = CubetreeForest(engine.pool, allocation)
-    try:
-        forest.restore_tree_states(tree_states)
-        forest.set_view_sizes(
-            {name: int(size) for name, size in meta["sizes"].items()}
-        )
-    except ValueError as exc:
-        raise PersistenceError(f"catalog mismatch: {exc}") from exc
-    engine.forest = forest
-    return engine
-
-
-# ----------------------------------------------------------------------
-# sharded databases (one manifest commits all shards atomically)
-# ----------------------------------------------------------------------
-def _build_sharded_meta(engine) -> dict:
-    """The global catalog of a sharded checkpoint (shared across shards)."""
-    forest = engine.forest
-    return {
-        "format_version": FORMAT_VERSION,
-        "layout": LAYOUT_SHARDED,
-        "num_shards": int(engine.num_shards),
-        "schema": _schema_to_json(engine.schema),
-        "hierarchies": sorted(
-            (
-                {
-                    "attribute": str(attr),
-                    "fact_key": str(source),
-                    "dim_attribute": str(hierarchy.attribute),
-                }
-                for attr, (hierarchy, source) in engine.hierarchies.items()
-            ),
-            key=lambda item: item["attribute"],
-        ),
-        "base_views": [_view_to_json(v) for v in engine.base_views],
-        "replicas": {
-            str(replica): str(base)
-            for replica, base in engine.replicas.items()
-        },
-        "allocation": [
-            {
-                "dims": int(assignment.dims),
-                "views": [_view_to_json(v) for v in assignment.views],
-            }
-            for assignment in forest.shards[0].forest.allocation.trees
-        ],
-        "sizes": {
-            str(name): int(size)
-            for name, size in forest.view_sizes().items()
-        },
-        "buffer_pages": int(engine.shards[0].pool.capacity),
-    }
-
-
-def _shard_meta(shard) -> dict:
-    """One shard's private catalog: tree states, sizes, allocator."""
-    return {
-        "format_version": FORMAT_VERSION,
-        "shard": int(shard.index),
-        "trees": [_tree_state(tree) for tree in shard.forest.cubetrees],
-        "sizes": {
-            str(name): int(size)
-            for name, size in shard.forest.view_sizes().items()
-        },
-        "disk": {
-            "next_page_id": int(
-                shard.disk.allocation_state()["next_page_id"]
-            ),
-            "freed": [
-                int(p) for p in shard.disk.allocation_state()["freed"]
-            ],
-        },
-    }
-
-
-def save_sharded_engine(
-    engine,
-    directory: str,
-    crash_point: Optional[CrashPoint] = None,
-    retain: int = DEFAULT_RETAIN,
-    protect: Collection[int] = (),
-) -> str:
-    """Checkpoint a :class:`~repro.core.sharded.ShardedCubetreeEngine`.
-
-    Layout: ``gen-<n>/shard-XX/{pages.bin,pages.crc,shard.json}`` per
-    shard plus one top-level ``meta.json`` (global catalog) and ONE
-    ``MANIFEST.json`` listing every shard file — the single atomic
-    manifest rename commits all shards together, so a crash anywhere
-    mid-checkpoint leaves *every* shard on the previous generation (the
-    all-or-nothing property the serving layer's publish depends on).
-
-    ``crash_point`` defaults to the first armed per-shard disk hook (or
-    shard 0's); per-shard write sites hit it with contexts prefixed
-    ``shard <i> ``, while the commit-level sites keep the unsharded
-    context names, so the same crash matrix drives both layouts.
-    """
-    forest = engine.forest
-    if forest is None:
-        raise PersistenceError("engine has no materialized views to save")
-    if retain < 1:
-        raise ValueError("retain must be >= 1")
-    if crash_point is None:
-        for shard in engine.shards:
-            candidate = getattr(shard.disk, "crash_point", None)
-            if candidate is not None and getattr(candidate, "armed", False):
-                crash_point = candidate
-                break
-        else:
-            crash_point = getattr(engine.shards[0].disk, "crash_point", None)
-
-    os.makedirs(directory, exist_ok=True)
-    for shard in engine.shards:
-        shard.pool.flush_all()
-
-    generations = _list_generations(directory)
-    number = (generations[-1][0] + 1) if generations else 1
-    gen_path = os.path.join(directory, _generation_name(number))
-    os.makedirs(gen_path)
-
-    files: Dict[str, dict] = {}
-    shard_entries: List[dict] = []
-    total_pages = 0
-    for shard in engine.shards:
-        sub = _shard_dir_name(shard.index)
-        shard_path = os.path.join(gen_path, sub)
-        os.makedirs(shard_path)
-        shard_hook = (
-            _ShardCrashPoint(crash_point, shard.index)
-            if crash_point is not None
-            else None
-        )
-
-        # 1. the shard's page dump (one crash site per page)
-        pages_path = os.path.join(shard_path, PAGES_NAME)
-        shard.disk.dump_pages(pages_path, crash_point=shard_hook)
-
-        # 2. per-page checksums, read back from the dump just written
-        page_crcs = _page_checksums(pages_path)
-        crc_payload = b"".join(
-            crc.to_bytes(4, "little") for crc in page_crcs
-        )
-        _write_file(
-            os.path.join(shard_path, CHECKSUMS_NAME),
-            crc_payload,
-            shard_hook,
-            "checkpoint page checksums",
-        )
-
-        # 3. the shard catalog
-        shard_payload = _meta_bytes(_shard_meta(shard))
-        _write_file(
-            os.path.join(shard_path, SHARD_META_NAME),
-            shard_payload,
-            shard_hook,
-            "checkpoint catalog",
-        )
-
-        files[f"{sub}/{PAGES_NAME}"] = {
-            "bytes": os.path.getsize(pages_path),
-            "crc32": _file_crc(pages_path),
-        }
-        files[f"{sub}/{CHECKSUMS_NAME}"] = {
-            "bytes": len(crc_payload),
-            "crc32": zlib.crc32(crc_payload),
-        }
-        files[f"{sub}/{SHARD_META_NAME}"] = {
-            "bytes": len(shard_payload),
-            "crc32": zlib.crc32(shard_payload),
-        }
-        shard_entries.append({"dir": sub, "page_count": len(page_crcs)})
-        total_pages += len(page_crcs)
-
-    # 4. the global catalog
-    meta_payload = _meta_bytes(_build_sharded_meta(engine))
-    _write_file(
-        os.path.join(gen_path, META_NAME),
-        meta_payload,
-        crash_point,
-        "checkpoint catalog",
-    )
-    files[META_NAME] = {
-        "bytes": len(meta_payload),
-        "crc32": zlib.crc32(meta_payload),
-    }
-
-    # 5. the commit record: ONE manifest rename commits every shard
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "layout": LAYOUT_SHARDED,
-        "generation": number,
-        "num_shards": int(engine.num_shards),
-        "page_count": total_pages,
-        "shards": shard_entries,
-        "files": files,
-    }
-    manifest_tmp = os.path.join(gen_path, MANIFEST_NAME + ".tmp")
-    manifest_path = os.path.join(gen_path, MANIFEST_NAME)
-    _write_file(
-        manifest_tmp,
-        _meta_bytes(manifest),
-        crash_point,
-        "checkpoint manifest write",
-    )
-    _crash_hit(crash_point, "checkpoint manifest commit")
-    os.rename(manifest_tmp, manifest_path)
-    _fsync_dir(gen_path)
-    _fsync_dir(directory)
-
-    # 6. only now retire older generations (and stale partials)
-    _crash_hit(crash_point, "checkpoint prune")
-    _prune(directory, keep_newest=number, retain=retain, protect=protect)
-    return gen_path
-
-
-def save_database(
-    engine,
-    directory: str,
-    crash_point: Optional[CrashPoint] = None,
-    retain: int = DEFAULT_RETAIN,
-    protect: Collection[int] = (),
-) -> str:
-    """Checkpoint either engine flavor (layout picked by engine type)."""
-    from repro.core.sharded import ShardedCubetreeEngine
-
-    if isinstance(engine, ShardedCubetreeEngine):
-        return save_sharded_engine(
-            engine, directory,
-            crash_point=crash_point, retain=retain, protect=protect,
-        )
-    return save_engine(
-        engine, directory,
-        crash_point=crash_point, retain=retain, protect=protect,
-    )
-
-
-def load_sharded_engine(directory: str, pool_cls: Optional[Type] = None):
-    """Reopen a database saved by :func:`save_sharded_engine`.
-
-    Same recovery rule as :func:`load_engine` — newest manifest-complete
-    generation, every file checksum-verified first — then each shard's
-    disk, forest, and sizes are restored from its ``shard-XX/`` files.
-    """
-    from repro.core.sharded import ShardedCubetreeEngine, ShardedForest
-
-    newest, _partials = _newest_committed(directory)
-    if newest is None:
-        raise PersistenceError(f"no saved sharded database in {directory!r}")
-    report = CheckpointReport(directory=directory)
-    manifest = _validate_generation(newest, report)
-    if manifest.get("layout") != LAYOUT_SHARDED:
-        raise PersistenceError(
-            f"{newest!r} is not a sharded checkpoint; use load_engine"
-        )
-    if not report.ok:
-        raise CorruptCheckpointError(
-            f"checkpoint {newest!r} failed validation:\n"
-            + "\n".join(f"  {problem}" for problem in report.problems)
-        )
-
-    with open(os.path.join(newest, META_NAME)) as handle:
-        meta = json.load(handle)
-    if meta.get("format_version") not in SUPPORTED_FORMAT_VERSIONS:
-        raise PersistenceError(
-            f"unsupported format version {meta.get('format_version')!r} "
-            f"(expected one of {SUPPORTED_FORMAT_VERSIONS})"
-        )
-
-    schema = _schema_from_json(meta["schema"])
-    hierarchies: Dict[str, Hierarchy] = {}
-    for item in meta["hierarchies"]:
-        dim = schema.dimension_of(item["fact_key"])
-        hierarchies[item["attribute"]] = Hierarchy.from_dimension(
-            dim, item["dim_attribute"]
-        )
-
-    num_shards = int(meta["num_shards"])
-    disks: List[DiskManager] = []
-    shard_metas: List[dict] = []
-    for index in range(num_shards):
-        shard_path = os.path.join(newest, _shard_dir_name(index))
-        with open(os.path.join(shard_path, SHARD_META_NAME)) as handle:
-            smeta = json.load(handle)
-        pages_path = os.path.join(shard_path, PAGES_NAME)
-        expected_pages = int(smeta["disk"]["next_page_id"])
-        actual_bytes = os.path.getsize(pages_path)
-        if actual_bytes != expected_pages * PAGE_SIZE:
-            raise PersistenceError(
-                f"page dump {pages_path!r} holds {actual_bytes} bytes; "
-                f"the shard catalog's allocator state needs exactly "
-                f"{expected_pages} pages — the checkpoint is torn"
-            )
-        disks.append(DiskManager.restore(pages_path, smeta["disk"]))
-        shard_metas.append(smeta)
-
-    engine = ShardedCubetreeEngine(
-        schema,
-        hierarchies=hierarchies,
-        buffer_pages=int(meta.get("buffer_pages", 256)),
-        shards=num_shards,
         disks=disks,
         pool_cls=pool_cls,
+        shards=len(disks),
     )
     engine.base_views = [_view_from_json(v) for v in meta["base_views"]]
     engine.replicas = {
         str(replica): str(base)
         for replica, base in meta["replicas"].items()
     }
-    allocation = _allocation_from_json(meta["allocation"])
-    for shard, smeta in zip(engine.shards, shard_metas):
+
+    assignments = meta["allocation"]
+    allocation = _allocation_from_json(assignments)
+    for shard, state in zip(engine.shards, states):
+        tree_states = state["trees"]
+        if len(tree_states) != len(assignments):
+            raise PersistenceError(
+                f"catalog mismatch: {len(assignments)} tree assignment(s) "
+                f"in the allocation but {len(tree_states)} saved tree "
+                f"state(s)"
+            )
         forest = CubetreeForest(shard.pool, allocation)
         try:
-            forest.restore_tree_states(smeta["trees"])
+            forest.restore_tree_states(tree_states)
             forest.set_view_sizes(
-                {name: int(size) for name, size in smeta["sizes"].items()}
+                {name: int(size) for name, size in state["sizes"].items()}
             )
         except ValueError as exc:
             raise PersistenceError(f"catalog mismatch: {exc}") from exc
         shard.forest = forest
     engine.forest = ShardedForest(engine.shards)
     return engine
-
-
-def load_any_engine(directory: str, pool_cls: Optional[Type] = None):
-    """Reopen a saved database of either layout.
-
-    Dispatches on the newest committed generation's manifest ``layout``
-    key: sharded checkpoints come back as
-    :class:`~repro.core.sharded.ShardedCubetreeEngine`, everything else
-    (v2 single-tree and v1 flat) as the classic
-    :class:`~repro.core.engine.CubetreeEngine`.  The serving layer opens
-    databases through this, so a sharded database serves transparently.
-    """
-    newest, _partials = _newest_committed(directory)
-    if newest is not None:
-        if _read_manifest(newest).get("layout") == LAYOUT_SHARDED:
-            return load_sharded_engine(directory, pool_cls=pool_cls)
-    return load_engine(directory, pool_cls=pool_cls)

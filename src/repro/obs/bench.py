@@ -267,7 +267,7 @@ def _absolute_phase(name: str, pool, wall_ms: float = 0.0) -> Dict[str, object]:
 
 def _stats_phase(name: str, io, buf, wall_ms: float = 0.0) -> Dict[str, object]:
     """A phase record from explicit IOStats/BufferStats (absolute or
-    delta) — the sharded engine reports critical-path combined stats
+    delta) — a sharded engine reports critical-path combined stats
     rather than a single pool's counters."""
     return {
         "name": name,
@@ -687,8 +687,10 @@ def _suite_serving(scale: float, seed: int, queries: int) -> Dict[str, object]:
 def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
     """Sharded forest vs. unsharded: load, merge-pack, point queries.
 
-    The same warehouse is loaded at N=1 and N=4 shards.  Sharded phases
-    charge the *critical-path* shard (max over per-shard deltas), so the
+    The same warehouse is loaded at N=1 and N=4 shards, both in the
+    config's total buffer budget (each N=4 shard gets a quarter).
+    Sharded phases charge the *critical-path* shard (max over per-shard
+    deltas), so the
     n4/n1 simulated-ms ratio is the modeled parallel speedup — the
     acceptance bar is <= 0.5x for both bulk load and merge-pack.  Point
     queries restrict the leading group coordinate of the view they route
@@ -698,7 +700,7 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
     wall-clock rides along report-only as everywhere else.
     """
     from repro.experiments.common import (
-        build_sharded_engine,
+        build_cubetree_engine,
         build_warehouse,
     )
     from repro.query.slice import SliceQuery
@@ -720,7 +722,7 @@ def _suite_sharding(scale: float, seed: int, queries: int) -> Dict[str, object]:
     for num_shards in (1, 4):
         tag = f"n{num_shards}"
         wall_start = time.perf_counter()
-        engine, _ = build_sharded_engine(config, data, shards=num_shards)
+        engine, _ = build_cubetree_engine(config, data, shards=num_shards)
         load_io = engine.io_totals()
         run.phases.append(
             _stats_phase(

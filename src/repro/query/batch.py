@@ -34,7 +34,7 @@ the field) fall back to per-query execution inside the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.answer import finalize_fold, finalize_matches, split_bindings
 from repro.core.cubetree import FoldedSlice
@@ -50,6 +50,9 @@ from repro.query.router import (
 from repro.query.slice import SliceQuery
 from repro.rtree.kernels import vector_kernels_enabled
 from repro.storage.iomodel import IOStats
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
+    from repro.core.sharded import ShardedForest
 
 _OBS_PUSHDOWNS = get_registry().counter("query.cubetree.pushdowns")
 
@@ -99,7 +102,7 @@ def route_batch(
 
 def execute_batch(
     router: QueryRouter,
-    forest,
+    forest: "ShardedForest",
     hierarchies: Mapping[str, tuple],
     queries: Sequence[SliceQuery],
 ) -> BatchResult:
@@ -107,6 +110,9 @@ def execute_batch(
 
     The caller (``CubetreeEngine.query_batch``) measures I/O and wall
     time around this call and fills in the :class:`BatchResult` totals.
+    Aggregate pushdown is requested for every total query without a
+    residual filter; the forest grants it only where the slice resolves
+    to one shard (see :meth:`~repro.core.sharded.ShardedForest.can_fold`).
     """
     batch = BatchResult(results=[QueryResult() for _ in queries])
     if not queries:
@@ -140,7 +146,9 @@ def execute_batch(
                 [direct for direct, _ in splits],
                 fold=fold if any(fold) else None,
             )
-            _OBS_PUSHDOWNS.value += sum(fold)
+            _OBS_PUSHDOWNS.value += sum(
+                isinstance(matches, FoldedSlice) for matches in match_lists
+            )
             batch.batched += len(indices)
             batch.groups += 1
             _finalize_group(
@@ -163,7 +171,7 @@ def execute_batch(
                     and not queries[i].group_by
                     and not residual
                     and decisions[i].use_run
-                    and forest.has_run(view_name)
+                    and forest.can_fold(view_name, direct)
                 ):
                     match_lists.append(
                         FoldedSlice(

@@ -2,10 +2,9 @@
 
 The MVCC heart of the server.  A :class:`GenerationHandle` wraps one
 *committed* checkpoint generation — its number, its ``gen-<n>/``
-directory, and an engine (:class:`~repro.core.engine.CubetreeEngine` or
-:class:`~repro.core.sharded.ShardedCubetreeEngine`, whichever the
-checkpoint's layout names) reopened from it that is never mutated again
-— plus a pin count.  Readers pin the
+directory, and a :class:`~repro.core.engine.CubetreeEngine` reopened
+from it (with as many shards as the checkpoint's layout records) that
+is never mutated again — plus a pin count.  Readers pin the
 current handle for the duration of a query; a publish installs a new
 handle without touching pinned ones; a generation's files are pruned
 only once its pin count has dropped to zero *and* it has been

@@ -410,16 +410,14 @@ class CubetreeServer:
     def shard_stats(self) -> Optional[List[Dict[str, object]]]:
         """Per-shard statistics of the serving generation's engine.
 
-        ``None`` when the database is unsharded (or not serving); the
-        sharded engine reports pages, rows, simulated I/O, buffer hit
-        rates, and routed-query counts per shard so scatter-gather skew
-        is observable at ``GET /stats``.
+        One entry per shard (one for a single-forest database): pages,
+        rows, simulated I/O, buffer hit rates, and routed-query counts,
+        so scatter-gather skew is observable at ``GET /stats``.  ``None``
+        only when nothing is being served.
         """
         try:
             stats = self.manager.run_pinned(
                 lambda handle: handle.engine.shard_stats()
-                if hasattr(handle.engine, "shard_stats")
-                else None
             )
         except ReproError:
             return None
@@ -507,20 +505,14 @@ def bootstrap_database(
     from repro.experiments.common import (
         ExperimentConfig,
         build_cubetree_engine,
-        build_sharded_engine,
         build_warehouse,
     )
 
     config = ExperimentConfig(scale_factor=scale, seed=seed)
     _generator, data = build_warehouse(config)
-    if shards > 1:
-        engine, report = build_sharded_engine(
-            config, data, shards=shards, replicate=replicate
-        )
-    else:
-        engine, report = build_cubetree_engine(
-            config, data, replicate=replicate
-        )
+    engine, report = build_cubetree_engine(
+        config, data, replicate=replicate, shards=shards
+    )
     gen_path = save_database(engine, directory, retain=retain)
     number = CubetreeServer._generation_number(gen_path)
     return BootstrapReport(

@@ -1,4 +1,4 @@
-"""Unit tests for the sharded Cubetree forest.
+"""Unit tests for the sharded Cubetree forest (``CubetreeEngine(shards=N)``).
 
 Covers the partitioning rule and router pruning helpers, the
 critical-path I/O combination, single-shard routing of leading-coordinate
@@ -18,24 +18,23 @@ from repro.analysis.fsck import (
     FsckReport,
     _check_shard_residues,
     check_checkpoint,
-    check_database,
-    check_sharded_engine,
+    check_engine,
 )
+from repro.core.engine import CubetreeEngine
 from repro.core.persistence import (
-    PersistenceError,
     load_any_engine,
     load_engine,
-    load_sharded_engine,
     save_database,
     verify_checkpoint,
 )
 from repro.core.sharded import (
-    ShardedCubetreeEngine,
     combine_io,
     partition_state_rows,
     shard_of,
     shard_targets,
 )
+from repro.errors import ReproError
+from repro.obs import get_registry
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
 from repro.storage.iomodel import IOStats
@@ -58,7 +57,7 @@ def warehouse():
 
 
 def _build(data, shards, **kwargs):
-    engine = ShardedCubetreeEngine(
+    engine = CubetreeEngine(
         data.schema, buffer_pages=64, shards=shards, **kwargs
     )
     engine.materialize(
@@ -138,7 +137,7 @@ def test_point_query_on_leading_coordinate_touches_one_shard(warehouse):
 def test_unbound_query_scatters_to_all_shards_and_merges(warehouse):
     data, _delta = warehouse
     engine = _build(data, shards=4)
-    single = ShardedCubetreeEngine(data.schema, buffer_pages=64, shards=1)
+    single = CubetreeEngine(data.schema, buffer_pages=64)
     single.materialize(
         VIEWS, data.facts,
         replicate={"V_ps": [("suppkey", "partkey")]},
@@ -165,6 +164,65 @@ def test_view_sizes_and_pages_aggregate_across_shards(warehouse):
     )
 
 
+def test_shards_split_one_buffer_budget(warehouse):
+    """``buffer_pages`` is the total: each shard gets an equal slice, a
+    budget below one page per shard is refused, and the one-shard
+    ``pool``/``disk`` accessors refuse to pick a shard."""
+    data, _delta = warehouse
+    engine = CubetreeEngine(data.schema, buffer_pages=64, shards=3)
+    assert [shard.pool.capacity for shard in engine.shards] == [21] * 3
+    with pytest.raises(ReproError, match="3 shards"):
+        engine.pool
+    with pytest.raises(ReproError, match="3 shards"):
+        engine.disk
+    with pytest.raises(ValueError, match="buffer budget"):
+        CubetreeEngine(data.schema, buffer_pages=2, shards=3)
+    single = CubetreeEngine(data.schema, buffer_pages=64)
+    assert single.pool is single.shards[0].pool
+    assert single.pool.capacity == 64
+
+
+@pytest.mark.parametrize("shards", [1, 3])
+def test_query_counters_are_one_set_at_every_shard_count(warehouse, shards):
+    """``query.cubetree.*`` counts single queries and batches, their
+    histograms and the shards touched the same way at any N."""
+    data, _delta = warehouse
+    engine = _build(data, shards=shards)
+    reg = get_registry()
+    names = ("count", "batches", "batched_queries", "shards_touched")
+    counters = {name: reg.counter(f"query.cubetree.{name}") for name in names}
+    histograms = [
+        reg.histogram(f"query.cubetree.{name}")
+        for name in ("simulated_ms", "wall_ms")
+    ]
+    before = {name: counter.value for name, counter in counters.items()}
+    observed = [h.snapshot()["count"] for h in histograms]
+    routed = sum(shard.routed_queries for shard in engine.shards)
+
+    # A leading-coordinate point: one shard at any N.
+    engine.query(SliceQuery((), (("suppkey", 3),)))
+    assert counters["shards_touched"].value == before["shards_touched"] + 1
+    assert [h.snapshot()["count"] for h in histograms] == [
+        count + 1 for count in observed
+    ]
+    batch = engine.query_batch(
+        [SliceQuery(("partkey",), (("suppkey", s),)) for s in (1, 2, 3)] * 4
+    )
+    delta = {
+        name: counter.value - before[name]
+        for name, counter in counters.items()
+    }
+    assert delta["count"] == 1 + len(batch)
+    assert delta["batches"] == 1
+    assert delta["batched_queries"] == batch.batched
+    assert delta["shards_touched"] == (
+        sum(shard.routed_queries for shard in engine.shards) - routed
+    )
+    assert not any(
+        name.startswith("query.sharded") for name in reg.snapshot()["counters"]
+    )
+
+
 # ----------------------------------------------------------------------
 # persistence: one manifest commits all shards
 # ----------------------------------------------------------------------
@@ -175,12 +233,9 @@ def test_sharded_checkpoint_roundtrip(tmp_path, warehouse):
     save_database(engine, directory)
 
     assert verify_checkpoint(directory).ok
-    # The unsharded loader refuses with a pointed error.
-    with pytest.raises(PersistenceError, match="sharded"):
-        load_engine(directory)
 
     recovered = load_any_engine(directory)
-    assert isinstance(recovered, ShardedCubetreeEngine)
+    assert isinstance(recovered, CubetreeEngine)
     assert recovered.num_shards == 3
     assert recovered.view_sizes() == engine.view_sizes()
     query = SliceQuery(("suppkey",), ())
@@ -189,7 +244,7 @@ def test_sharded_checkpoint_roundtrip(tmp_path, warehouse):
     # Update + second generation round-trips too.
     recovered.update(delta)
     save_database(recovered, directory)
-    reopened = load_sharded_engine(directory)
+    reopened = load_engine(directory)
     assert reopened.query(query).rows == recovered.query(query).rows
 
 
@@ -224,11 +279,9 @@ def test_sharded_checkpoint_detects_per_shard_corruption(
 def test_sharded_fsck_clean_engine_passes(warehouse):
     data, _delta = warehouse
     engine = _build(data, shards=3)
-    report = check_sharded_engine(engine)
+    report = check_engine(engine)
     assert report.ok, report.format()
     assert report.trees_checked == len(engine.shards) * 2
-    # check_database dispatches on the engine type.
-    assert check_database(engine).ok
 
 
 def test_fsck_flags_entry_on_wrong_shard(warehouse):

@@ -118,6 +118,8 @@ class TestRoutes:
         status, payload = _call(base, "/stats")
         assert status == 200
         assert "admission" in payload and "metrics" in payload
+        # A single-forest database reports its one shard.
+        assert [entry["shard"] for entry in payload["shards"]] == [0]
 
 
 class TestErrors:

@@ -1,17 +1,16 @@
-"""Differential sweep: the sharded engine vs. the single-tree engine.
+"""Differential sweep: the engine at N shards vs. the same engine at N=1.
 
 Property: for ANY star schema, fact data, materialized lattice subset,
-and slice-query set, a :class:`~repro.core.sharded.ShardedCubetreeEngine`
-at N ∈ {1, 2, 3, 5} shards answers bit-for-bit what the unsharded
-:class:`~repro.core.engine.CubetreeEngine` answers, across the full
-load → query → update → query → checkpoint → recover lifecycle.  At N=1
-the agreement extends to the *simulated I/O* (same counters, same float
-milliseconds): the single-shard configuration runs the identical call
-sequence through one pool, so any drift is a real divergence.
+and slice-query set, a :class:`~repro.core.engine.CubetreeEngine` at
+N ∈ {2, 3, 5} shards answers bit-for-bit what the one-shard engine
+answers, across the full load → query → batch → update → query →
+checkpoint → recover lifecycle.  Every shard count's batch answers
+equal its own serial answers.  The one-shard oracle is itself checked
+against on-the-fly recomputation in ``tests/test_differential.py``.
 
-Both engines run **mirrored lifecycles** (fresh engine, same operation
-order) — the cost model's accumulator is position-dependent in the last
-float ulp, so only identical histories compare exactly.
+Every engine runs a **mirrored lifecycle** (fresh engine, same
+operation order) — the cost model's accumulator is position-dependent
+in the last float ulp, so only identical histories compare exactly.
 
 Example count scales with ``REPRO_DIFF_EXAMPLES`` (default 200 locally;
 CI sets a smaller smoke profile).
@@ -30,9 +29,10 @@ except ImportError:  # pragma: no cover - hypothesis is a test dependency
 
 from repro.core.engine import CubetreeEngine
 from repro.core.persistence import load_any_engine, save_database
-from repro.core.sharded import ShardedCubetreeEngine
+from repro.obs import get_registry
 from repro.query.slice import SliceQuery
 from repro.relational.view import ViewDefinition
+from repro.rtree.node import leaf_capacity
 from repro.warehouse.star import Dimension, StarSchema
 
 EXAMPLES = int(os.environ.get("REPRO_DIFF_EXAMPLES", "200"))
@@ -154,7 +154,12 @@ def _io_record(io):
 
 
 def _lifecycle(engine, views, initial, delta, queries):
-    """One mirrored lifecycle; returns (rows trace, io trace)."""
+    """One mirrored lifecycle; returns (rows trace, io trace, batch).
+
+    The batch leg answers every query four times over, so each routed
+    view has enough queries for the cost gate to consider a shared pass;
+    each batch answer must equal the serial answer just before it.
+    """
     rows_trace = []
     io_trace = []
     load = engine.materialize(views, initial)
@@ -163,6 +168,8 @@ def _lifecycle(engine, views, initial, delta, queries):
         result = engine.query(query)
         rows_trace.append(result.rows)
         io_trace.append(_io_record(result.io))
+    batch = engine.query_batch(list(queries) * 4)
+    assert [result.rows for result in batch.results] == rows_trace * 4
     update = engine.update(delta)
     rows_trace.append(update.rows_applied)
     io_trace.append(_io_record(update.io))
@@ -170,29 +177,92 @@ def _lifecycle(engine, views, initial, delta, queries):
         result = engine.query(query)
         rows_trace.append(result.rows)
         io_trace.append(_io_record(result.io))
-    return rows_trace, io_trace
+    return rows_trace, io_trace, batch
+
+
+def _split(facts):
+    split = len(facts) // 2
+    return facts[:split] or facts, facts[split:] or facts
 
 
 @given(differential_cases())
 @settings(max_examples=EXAMPLES, deadline=None)
 def test_sharded_lifecycle_matches_single_engine(case):
-    """Rows identical at every N; simulated I/O identical at N=1."""
+    """Rows identical at every N, batches included; simulated I/O
+    identical across mirrored one-shard runs."""
     domain_sizes, facts, views, queries = case
     schema = _make_schema(domain_sizes)
-    split = len(facts) // 2
-    initial, delta = facts[:split] or facts, facts[split:] or facts
+    initial, delta = _split(facts)
 
     base = CubetreeEngine(schema, buffer_pages=64)
-    base_rows, base_io = _lifecycle(base, views, initial, delta, queries)
+    base_rows, base_io, _ = _lifecycle(base, views, initial, delta, queries)
 
     for num_shards in SHARD_COUNTS:
-        engine = ShardedCubetreeEngine(
-            schema, buffer_pages=64, shards=num_shards
-        )
-        rows, io = _lifecycle(engine, views, initial, delta, queries)
+        engine = CubetreeEngine(schema, buffer_pages=64, shards=num_shards)
+        rows, io, _batch = _lifecycle(engine, views, initial, delta, queries)
         assert rows == base_rows, f"N={num_shards}"
         if num_shards == 1:
-            assert io == base_io, "N=1 must be byte-identical"
+            assert io == base_io, "N=1 must be deterministic"
+
+
+def test_batch_leg_takes_shared_passes_at_every_n():
+    """A fixed case whose batch the cost gate shares: the scatter-gather
+    group pass (with aggregate pushdown requested) answers at every N."""
+    domain_sizes = {"ka": 6, "kb": 5}
+    facts = [
+        (1 + (i * 7) % 6, 1 + (i * 3) % 5, float(i % 11)) for i in range(48)
+    ]
+    views = [
+        ViewDefinition("apex", ("ka", "kb")),
+        ViewDefinition("none", ()),
+        ViewDefinition("v_kb", ("kb",)),
+    ]
+    queries = [
+        SliceQuery(("ka",), (("kb", 2),)),
+        SliceQuery((), (("ka", 3),)),
+        SliceQuery((), (), (("ka", 2, 5),)),
+        SliceQuery(("kb",), ()),
+    ]
+    schema = _make_schema(domain_sizes)
+    initial, delta = _split(facts)
+    base = CubetreeEngine(schema, buffer_pages=64)
+    base_rows, _io, _ = _lifecycle(base, views, initial, delta, queries)
+    for num_shards in SHARD_COUNTS:
+        engine = CubetreeEngine(schema, buffer_pages=64, shards=num_shards)
+        rows, _io, batch = _lifecycle(engine, views, initial, delta, queries)
+        assert rows == base_rows, f"N={num_shards}"
+        assert batch.batched > 0, f"N={num_shards}"
+
+
+def test_point_bound_total_query_takes_pushdown_at_three_shards():
+    """A total query with a point bound on the routed view's leading
+    coordinate resolves to one shard, so it folds there (aggregate
+    pushdown) and answers what N=1 answers.
+
+    ``v_ka`` holds exactly one full leaf per shard at N=3, so the router
+    prices the run scan below the classic scan at both shard counts.
+    """
+    domain = 3 * leaf_capacity(1, 1)
+    facts = [(v, 1 + v % 4, float(v % 13)) for v in range(1, domain + 1)]
+    views = [
+        ViewDefinition("apex", ("ka", "kb")),
+        ViewDefinition("none", ()),
+        ViewDefinition("v_ka", ("ka",)),
+    ]
+    schema = _make_schema({"ka": domain, "kb": 4})
+    pushdowns = get_registry().counter("query.cubetree.pushdowns")
+    answers = {}
+    for num_shards in (1, 3):
+        engine = CubetreeEngine(schema, buffer_pages=64, shards=num_shards)
+        engine.materialize(views, facts)
+        answers[num_shards] = []
+        for value in (1, 2, 3, domain // 2, domain):
+            before = pushdowns.value
+            result = engine.query(SliceQuery((), (("ka", value),)), fast=True)
+            assert "[run]" in result.plan, (num_shards, result.plan)
+            assert pushdowns.value == before + 1, (num_shards, value)
+            answers[num_shards].append(result.rows)
+    assert answers[3] == answers[1]
 
 
 @given(differential_cases())
@@ -201,8 +271,7 @@ def test_sharded_checkpoint_recover_matches(tmp_path_factory, case):
     """Checkpoint → recover preserves every shard count's answers."""
     domain_sizes, facts, views, queries = case
     schema = _make_schema(domain_sizes)
-    split = len(facts) // 2
-    initial, delta = facts[:split] or facts, facts[split:] or facts
+    initial, delta = _split(facts)
 
     base = CubetreeEngine(schema, buffer_pages=64)
     base.materialize(views, initial)
@@ -210,9 +279,7 @@ def test_sharded_checkpoint_recover_matches(tmp_path_factory, case):
     expected = [base.query(q).rows for q in queries]
 
     for num_shards in (1, 3):
-        engine = ShardedCubetreeEngine(
-            schema, buffer_pages=64, shards=num_shards
-        )
+        engine = CubetreeEngine(schema, buffer_pages=64, shards=num_shards)
         engine.materialize(views, initial)
         engine.update(delta)
         directory = str(
